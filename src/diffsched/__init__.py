@@ -19,14 +19,13 @@ from .graph import (
     topological_order,
     validate,
 )
-from .losses import DiscreteMetrics, LossBreakdown, discrete_metrics, normalized_progress
+from .losses import DiscreteMetrics, discrete_metrics, normalized_progress
 
 __all__ = [
     "DiscreteMetrics",
     "Edge",
     "GraphError",
     "InfeasibleError",
-    "LossBreakdown",
     "Node",
     "RunConfig",
     "RunResult",

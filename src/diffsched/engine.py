@@ -6,20 +6,24 @@ of the edges that carry communication. Each epoch is then whole-matrix work
 on the |V| x L logit matrix:
 
 - draw the Gumbel noise as one block (row k goes to the k-th node in
-  topological order) and take a row-wise tempered softmax Y;
+  topological order);
 - walk the nodes in topological order and take each one's stage as the
-  argmax of Y inside the window its placed predecessors and its ALAP cap
-  allow, so every hard schedule is legal;
-- evaluate the training loss on the hard one-hots and form its gradient in
-  closed form: the spread and comm adjoints of the one-hots, masked to each
-  node's window (straight-through) and pulled back through the softmax;
+  argmax of (logits + noise) / tau inside the window its placed
+  predecessors and its ALAP cap allow, so every hard schedule is legal;
+- evaluate the training loss lam * spread + comm on the hard one-hots and
+  form its straight-through gradient in closed form (Bengio et al.,
+  arXiv:1308.3432): the adjoint of the one-hots, masked to each node's
+  window and pulled back through the row-wise tempered softmax Y of logits
+  plus noise;
 - take an Adam/AdamW step on the logits.
+
+``loss_and_grad`` accepts any stage-probability matrix. At mask * Y it
+returns the exact gradient of the relaxed loss, which is what the tests
+check against central finite differences.
 
 The best schedule is tracked by the discrete LP objective
 (comm_total + ratio * peak_mem), not by the training loss, since the loss is
-a surrogate. The tape-based ``sampler.sample_schedule`` with
-``losses.spread_loss``/``comm_loss`` is the reference the epoch is tested
-against: same stages for the same seed, same gradient up to summation order.
+a surrogate.
 
 The entropy term is trained in its spread-seeking form (ln L minus the
 stage-memory entropy): driving memory toward an even split is what lowers
@@ -40,8 +44,13 @@ from .graph import (
     latest_stages,
     min_feasible_latency,
 )
-from .losses import _LOG_FLOOR, discrete_metrics
-from .sampler import gumbel_noise
+from .losses import discrete_metrics
+
+# Uniform draws are clamped away from {0, 1} before the double-log transform.
+_U_CLAMP = 1e-12
+# Memory shares that round to exactly zero are clamped before the log so
+# that 0*log(0) terms contribute 0 (error < 1e-28, below every tolerance).
+_LOG_FLOOR = 1e-30
 
 
 @dataclass
@@ -58,7 +67,6 @@ class RunConfig:
     seed: int = 0
     init_bias: float = 3.0
     timeout_ms: int | None = None
-    sample_interval_ms: int | None = None
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -178,26 +186,38 @@ def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
     )
 
 
+def gumbel_noise(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """i.i.d. standard Gumbel(0,1) draws via -log(-log(U)) of the given shape.
+
+    One (V, L) draw consumes the stream exactly as V draws of length L do,
+    row by row.
+    """
+    u = rng.uniform(size=size)
+    u = np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP)
+    return -np.log(-np.log(u))
+
+
 def sample_stages(
     cg: CompiledGraph, weights: np.ndarray, tau: float, rng: np.random.Generator
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Draw one legal hard schedule; returns (stages, y, lo).
 
-    ``y`` is the row-wise tempered softmax of logits plus Gumbel noise and
-    ``lo`` each node's lowest allowed stage (its window is ``[lo, hi]``).
-    Draws the same noise stream and stages as ``sampler.sample_schedule``
-    and fails the same way: InfeasibleError for an empty window, ValueError
-    for a non-finite row or a window whose probabilities all underflow.
+    Each node's stage is the argmax (first on ties) of (logits + noise) / tau
+    over its window ``[lo, hi]``: ``lo`` is the lowest stage its placed
+    predecessors allow, ``hi`` its ALAP cap. ``y`` is the row-wise tempered
+    softmax of logits plus noise, kept for the gradient only. Raises
+    InfeasibleError for an empty window and ValueError for a non-finite row.
     """
     n, latency = weights.shape
+    if n != len(cg.order):
+        raise ValueError("weight matrix row count does not match node count")
     noise = np.empty_like(weights)
     noise[cg.order] = gumbel_noise(rng, (n, latency))
     z = (weights + noise) / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
 
-    rows = y.tolist()
+    rows = z.tolist()
     finite = np.isfinite(y).all(axis=1).tolist()
     hi = cg.hi.tolist()
     stages = [0] * n
@@ -217,56 +237,69 @@ def sample_stages(
         if not finite[v]:
             raise ValueError("straight_through_onehot: non-finite input")
         window = rows[v][low : hi[v] + 1]
-        top = max(window)
-        if top <= 0.0:
-            raise ValueError("straight_through_onehot: no strictly positive entry")
-        stages[v] = low + window.index(top)
+        stages[v] = low + window.index(max(window))
         lo[v] = low
     return stages, y, np.array(lo, dtype=np.intp)
 
 
 def loss_and_grad(
     cg: CompiledGraph,
-    stages: list[int],
+    s: np.ndarray,
     y: np.ndarray,
     lo: np.ndarray,
     tau: float,
     lam: float,
 ) -> tuple[float, float, float, np.ndarray]:
-    """Training loss lam * spread + comm on the hard schedule and its
-    straight-through gradient w.r.t. the logits.
+    """Training loss lam * spread + comm of the |V| x L stage-probability
+    matrix ``s`` and its gradient w.r.t. the logits.
 
-    Returns (total, spread, comm, grad). The closed forms follow the tape
-    losses op by op: spread = ln L + sum q log q over the per-stage memory
-    shares q; comm sums each edge's crossed boundaries, whose one-hot adjoint
-    is a reversed cumsum of per-boundary terms scattered onto the endpoints.
+    Returns (total, spread, comm, grad). spread = ln L + sum q log q over the
+    per-stage memory shares q, and 0 on a graph without memory. comm is the
+    cost of the crossed boundaries over the total edge cost; an edge crosses
+    boundary i < L - 1 by cumsum(s_src)[i] * (1 - cumsum(s_dst)[i]), so the
+    adjoint of ``s`` is a reversed cumsum of per-boundary terms scattered
+    onto the endpoints. That adjoint is masked to each node's window
+    ``[lo, hi]`` and pulled back through the tempered softmax ``y``: for
+    s = mask * y the result is the exact gradient, for the hard one-hots the
+    straight-through one.
     """
-    n, latency = y.shape
-    if cg.total_mem <= 0.0:
-        raise ValueError("entropy_loss: total memory must be positive")
-    s = np.array(stages, dtype=np.intp)
+    n, latency = s.shape
     cols = np.arange(latency)
 
-    inv_m = 1.0 / cg.total_mem
-    q = np.bincount(s, weights=cg.mem, minlength=latency) * inv_m
-    q_floor = np.maximum(q, _LOG_FLOOR)
-    log_q = np.log(q_floor)
-    spread = float(np.sum(q * log_q)) + math.log(latency)
-    dq = lam * log_q + (lam * q) / q_floor * (q >= _LOG_FLOOR)
-    grad = np.outer(cg.mem, dq * inv_m)
+    spread = 0.0
+    if cg.total_mem > 0.0:
+        inv_m = 1.0 / cg.total_mem
+        # Sums each stage over the nodes in index order, as a bincount of
+        # the hard stages does, so one-hot rows give the same bits.
+        q = np.bincount(
+            np.tile(cols, n), weights=(cg.mem[:, None] * s).ravel(), minlength=latency
+        ) * inv_m
+        q_floor = np.maximum(q, _LOG_FLOOR)
+        log_q = np.log(q_floor)
+        spread = float((q * log_q).sum()) + math.log(latency)
+        dq = lam * log_q + (lam * q) / q_floor * (q >= _LOG_FLOOR)
+        grad = cg.mem[:, None] * (dq * inv_m)
+    else:
+        grad = np.zeros((n, latency))
 
     comm = 0.0
     if cg.total_comm > 0.0:
         inv_c = 1.0 / cg.total_comm
-        comm = float(cg.comm @ np.maximum(s[cg.dst] - s[cg.src], 0)) * inv_c
-        cum = (cols >= s[:, None]).astype(np.float64)  # cumsum of the one-hots
-        boundary = np.ones(latency)
-        boundary[-1] = 0.0
-        k = (cg.comm * inv_c)[:, None] * boundary
+        cum = s.cumsum(axis=1)
+        before = cum[cg.src]  # edge source at or before boundary i
+        after = 1.0 - cum[cg.dst]  # edge destination after boundary i
+        after[:, -1] = 0.0  # the boundaries are 0..L-2
+        comm = float(cg.comm @ np.einsum("ij,ij->i", before, after)) * inv_c
+        # Adjoints of cum at the edge ends, formed in place: w * after at
+        # the source, -w * before at the destination.
+        w = (cg.comm * inv_c)[:, None]
+        after *= w
+        before *= w
+        before[:, -1] = 0.0
         g_cum = np.zeros((n, latency))
-        np.add.at(g_cum, cg.src, k * (1.0 - cum[cg.dst]))
-        np.add.at(g_cum, cg.dst, -(k * cum[cg.src]))
-        grad += np.cumsum(g_cum[:, ::-1], axis=1)[:, ::-1]
+        np.add.at(g_cum, cg.src, after)
+        np.subtract.at(g_cum, cg.dst, before)
+        grad += g_cum[:, ::-1].cumsum(axis=1)[:, ::-1]
 
     grad *= (cols >= lo[:, None]) & (cols <= cg.hi[:, None])
     inner = grad[:, None, :] @ y[:, :, None]  # row-wise <grad, y>, as 1-D dots
@@ -293,6 +326,7 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
     weights = init_params(g, config, rng)
     state = AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
     wd = config.weight_decay if config.optimizer == "adamw" else 0.0
+    onehot = np.eye(config.L)
 
     best_obj = float("inf")
     best_stages: dict[str, int] = {}
@@ -308,7 +342,7 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
         if on_epoch is not None:
             on_epoch(epoch, stages)
         total, l_spread, l_comm, grad = loss_and_grad(
-            cg, stages, y, lo, tau, config.lam
+            cg, onehot[stages], y, lo, tau, config.lam
         )
         weights = adam_step(weights, grad, state, config.lr, weight_decay=wd)
 

@@ -75,7 +75,6 @@ def _config_from_args(args) -> engine.RunConfig:
         weight_decay=args.weight_decay,
         seed=_resolve_seed(args),
         timeout_ms=args.timeout_ms,
-        sample_interval_ms=args.sample_interval_ms,
     )
 
 
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weight-decay", type=float, default=0.01)
         p.add_argument("--seeds", type=int, default=1)
         p.add_argument("--timeout-ms", type=int, default=None)
-        p.add_argument("--sample-interval-ms", type=int, default=None)
 
     p = sub.add_parser("schedule", help="gradient-descent scheduling run")
     common(p)
@@ -370,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     engine_flags(p)
     p.add_argument("--methods", default="diff,greedy")
+    p.add_argument("--sample-interval-ms", type=int, default=None)
     p.set_defaults(func=cmd_compare)
     return parser
 

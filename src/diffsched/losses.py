@@ -1,30 +1,15 @@
-"""Differentiable losses and the exact discrete schedule evaluator.
+"""Exact evaluation of hard schedules.
 
-Both losses are evaluated on the straight-through hard one-hot vectors, so
-the forward value always reflects a legal schedule while gradients flow back
-through each node's soft Gumbel-Softmax relaxation.
+``discrete_metrics`` scores a legal schedule by peak stage memory,
+per-boundary communication and the LP objective; ``normalized_progress``
+turns a run's objectives into its running best relative to the first.
+The training loss and its gradient live in ``engine.loss_and_grad``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .autodiff import DiffVector, Tape
 from .graph import SchedGraph, check_legal
-
-# Probabilities that round to exactly zero are clamped before the log so
-# that 0*log(0) terms contribute 0 (error < 1e-28, below every tolerance).
-_LOG_FLOOR = 1e-30
-
-
-@dataclass
-class LossBreakdown:
-    total: float
-    entropy: float
-    comm: float
-    lam: float
 
 
 @dataclass
@@ -34,95 +19,6 @@ class DiscreteMetrics:
     comm_total: float
     lp_objective: float
     ratio: float
-
-
-def entropy_loss(
-    tape: Tape, schedule_vectors: list[DiffVector], mems: list[float]
-) -> DiffVector:
-    """Entropy of the per-stage memory distribution: -sum (N_i/M) log(N_i/M).
-
-    N_i is the memory placed on stage i, M the total. 0 for a single-stage
-    schedule, ln L for an exactly uniform split.
-    """
-    total_mem = float(sum(mems))
-    if total_mem <= 0.0:
-        raise ValueError("entropy_loss: total memory must be positive")
-    acc = None
-    for vec, mem in zip(schedule_vectors, mems):
-        term = vec if mem == 1.0 else tape.mul(vec, tape.constant([mem]))
-        acc = term if acc is None else tape.add(acc, term)
-    q = tape.mul(acc, tape.constant([1.0 / total_mem]))
-    neg_h = tape.sum(tape.mul(q, tape.log(q, floor=_LOG_FLOOR)))
-    return tape.mul(neg_h, tape.constant([-1.0]))
-
-
-def spread_loss(
-    tape: Tape,
-    schedule_vectors: list[DiffVector],
-    mems: list[float],
-    latency: int,
-) -> DiffVector:
-    """ln L minus the stage-memory entropy.
-
-    Minimizing this term pushes memory toward an even split across stages
-    (which is what shrinks peak memory); it is the form the engine trains
-    on. Same gradient as -entropy_loss, shifted to stay nonnegative.
-    """
-    h = entropy_loss(tape, schedule_vectors, mems)
-    return tape.add(tape.mul(h, tape.constant([-1.0])), tape.constant([math.log(latency)]))
-
-
-def comm_loss(
-    tape: Tape,
-    schedule_vectors: list[DiffVector],
-    g: SchedGraph,
-    latency: int,
-) -> DiffVector:
-    """Total boundary-crossing edge cost, normalized by the total edge cost.
-
-    An edge from stage a to stage b crosses boundaries a..b-1; the crossing
-    indicator for boundary i is cumsum(s_src)[i] * (1 - cumsum(s_dst)[i]).
-    Graphs with zero total edge cost get a constant 0 loss.
-    """
-    total_cost = sum(e.comm for e in g.edges)
-    if total_cost <= 0.0:
-        return tape.constant([0.0])
-
-    cum: dict[int, DiffVector] = {}
-    one_minus_cum: dict[int, DiffVector] = {}
-
-    def cum_of(v: int) -> DiffVector:
-        if v not in cum:
-            cum[v] = tape.cumsum(schedule_vectors[v])
-        return cum[v]
-
-    def one_minus_cum_of(v: int) -> DiffVector:
-        if v not in one_minus_cum:
-            neg = tape.mul(cum_of(v), tape.constant([-1.0]))
-            one_minus_cum[v] = tape.add(neg, tape.constant([1.0]))
-        return one_minus_cum[v]
-
-    # Last entry of any cumsum(one-hot) is 1, so the boundary weight vector
-    # zeroes it out: only boundaries 0..L-2 count.
-    boundary_w = np.ones(latency)
-    boundary_w[-1] = 0.0
-
-    acc = None
-    for e in g.edges:
-        if e.comm == 0.0:
-            continue
-        k = g.node_index(e.src)
-        t = g.node_index(e.dst)
-        crossing = tape.mul(cum_of(k), one_minus_cum_of(t))
-        contrib = tape.dot(crossing, e.comm * boundary_w)
-        acc = contrib if acc is None else tape.add(acc, contrib)
-    return tape.mul(acc, tape.constant([1.0 / total_cost]))
-
-
-def total_loss(entropy: float, comm: float, lam: float) -> LossBreakdown:
-    if lam < 0:
-        raise ValueError("total_loss: lambda must be nonnegative")
-    return LossBreakdown(total=lam * entropy + comm, entropy=entropy, comm=comm, lam=lam)
 
 
 def discrete_metrics(

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 
+from diffsched.engine import compile_graph, loss_and_grad
 from diffsched.graph import (
     Edge,
     Node,
@@ -66,3 +67,44 @@ def random_legal_schedule(
         assert lo <= hi[v]
         stages[v] = int(rng.integers(lo, hi[v] + 1))
     return {n.id: s for n, s in zip(g.nodes, stages)}
+
+
+def training_loss(g: SchedGraph, stages, latency: int, lam: float = 1.0):
+    """(total, spread, comm) of the engine's training loss on a hard
+    schedule, given as a stage list in declaration order or a dict."""
+    if isinstance(stages, dict):
+        stages = [stages[n.id] for n in g.nodes]
+    hard = np.eye(latency)[list(stages)]
+    lo = np.zeros(g.n_nodes, dtype=np.intp)
+    total, spread, comm, _ = loss_and_grad(compile_graph(g, latency), hard, hard, lo, 1.0, lam)
+    return total, spread, comm
+
+
+def isolated_nodes(mems) -> SchedGraph:
+    """A graph of unconnected nodes with the given memories."""
+    return SchedGraph(nodes=[Node(id=f"n{i}", mem=float(m)) for i, m in enumerate(mems)])
+
+
+def relaxed_loss(cg, weights, noise, lo, tau: float, lam: float):
+    """``loss_and_grad`` at the relaxed schedule mask * softmax((w + noise) / tau),
+    the mask being each node's window [lo, hi]."""
+    cols = np.arange(weights.shape[1])
+    mask = (cols >= lo[:, None]) & (cols <= cg.hi[:, None])
+    z = (weights + noise) / tau
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    return loss_and_grad(cg, mask * y, y, lo, tau, lam)
+
+
+def gradient_error(cg, weights, noise, lo, tau: float, lam: float, eps: float) -> float:
+    """Largest |closed form - central difference| / max(1, |central
+    difference|) of the relaxed loss's gradient over every logit."""
+    grad = relaxed_loss(cg, weights, noise, lo, tau, lam)[3]
+    fd = np.zeros_like(weights)
+    for idx in np.ndindex(weights.shape):
+        up, down = weights.copy(), weights.copy()
+        up[idx] += eps
+        down[idx] -= eps
+        fd[idx] = (relaxed_loss(cg, up, noise, lo, tau, lam)[0]
+                   - relaxed_loss(cg, down, noise, lo, tau, lam)[0]) / (2 * eps)
+    return float(np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))))

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 
-from diffsched.autodiff import Tape
 from diffsched.baselines import (
     asap,
     brute_force,
@@ -17,13 +16,18 @@ from diffsched.baselines import (
     export_ilp,
     ilp_assignment_from_schedule,
 )
-from diffsched.engine import RunConfig, run
+from diffsched.engine import RunConfig, compile_graph, gumbel_noise, run, sample_stages
 from diffsched.generator import GenSpec, gen_random_workload
-from diffsched.graph import check_legal, latest_stages, min_feasible_latency
+from diffsched.graph import Edge, Node, SchedGraph, check_legal, min_feasible_latency
 from diffsched.harness import write_trajectory_csv
-from diffsched.losses import comm_loss, discrete_metrics, entropy_loss
-from diffsched.sampler import gumbel_noise, mask_from_parent, sample_schedule
-from helpers import random_dag, random_legal_schedule
+from diffsched.losses import discrete_metrics
+from helpers import (
+    gradient_error,
+    isolated_nodes,
+    random_dag,
+    random_legal_schedule,
+    training_loss,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str):
@@ -64,41 +68,11 @@ def test_acceptance_2_gradient_correctness():
                        comm_choices=(1.0, 2.0, 3.0))
         latency = min_feasible_latency(g) + 1
         weights = rng.normal(scale=1.5, size=(6, latency))
-        # freeze the noise and the masks of one sampled draw
-        sampled = sample_schedule(g, weights, tau, np.random.default_rng(rng.integers(1 << 30)))
-        noise = [gumbel_noise(np.random.default_rng(7 + v), latency) for v in range(6)]
-        hi = latest_stages(g, latency)
-        masks = []
-        preds = g.predecessors()
-        for v in range(6):
-            mask = np.ones(latency)
-            mask[hi[v] + 1:] = 0.0
-            for u, c in preds[v]:
-                mask = np.minimum(mask, mask_from_parent(sampled.hards[u].value, c, latency))
-            masks.append(mask)
-        mems = [node.mem for node in g.nodes]
-
-        def build(w):
-            tape = Tape()
-            softs = []
-            for v in range(6):
-                y = tape.softmax(tape.param(w[v]), tau, shift=noise[v])
-                softs.append(tape.mul(y, tape.constant(masks[v])))
-            le = entropy_loss(tape, softs, mems)
-            lc = comm_loss(tape, softs, g, latency)
-            return tape, tape.add(tape.mul(le, tape.constant([lam])), lc)
-
-        tape, total = build(weights)
-        grads = tape.backward(total)
-        grad = np.stack([grads[i] for i in tape.param_idx])
-        fd = np.zeros_like(weights)
-        for v in range(6):
-            for j in range(latency):
-                hi_w, lo_w = weights.copy(), weights.copy()
-                hi_w[v, j] += eps
-                lo_w[v, j] -= eps
-                fd[v, j] = (build(hi_w)[1].value[0] - build(lo_w)[1].value[0]) / (2 * eps)
-        worst = max(worst, float(np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd)))))
+        cg = compile_graph(g, latency)
+        # freeze the noise and the windows of one sampled draw
+        _, _, lo = sample_stages(cg, weights, tau, np.random.default_rng(rng.integers(1 << 30)))
+        noise = np.stack([gumbel_noise(np.random.default_rng(7 + v), latency) for v in range(6)])
+        worst = max(worst, gradient_error(cg, weights, noise, lo, tau, lam, eps))
     dt = time.perf_counter() - t0
     report(2, "gradient-correctness", worst < 1e-4 and dt < 60,
            f"max rel err {worst:.2e} < 1e-4, {dt:.1f}s < 60s")
@@ -150,13 +124,26 @@ def test_acceptance_4_telescoping_identity():
 
 
 def test_acceptance_5_mask_worked_example():
-    a = mask_from_parent(np.array([0.0, 1.0, 0.0]), 0, 3)
-    b = mask_from_parent(np.array([0.0, 1.0, 0.0]), -1, 3)
-    ok = list(a) == [0.0, 1.0, 1.0] and list(b) == [0.0, 0.0, 1.0]
-    report(5, "mask-worked-example", ok, f"c=0 -> {list(a)}, c=-1 -> {list(b)}")
+    # A parent pinned to stage 1 of 3 leaves its child the stages >= 1 - c.
+    masks = []
+    for c in (0, -1):
+        g = SchedGraph(nodes=[Node(id="p"), Node(id="k")], edges=[Edge("p", "k", sdc_c=c)])
+        cg = compile_graph(g, 3)
+        weights = np.array([[0.0, 100.0, 0.0], [0.0, 0.0, 0.0]])
+        stages, _, lo = sample_stages(cg, weights, 1.0, np.random.default_rng(0))
+        assert stages[0] == 1
+        masks.append([float(lo[1] <= j <= cg.hi[1]) for j in range(3)])
+    a, b = masks
+    ok = a == [0.0, 1.0, 1.0] and b == [0.0, 0.0, 1.0]
+    report(5, "mask-worked-example", ok, f"c=0 -> {a}, c=-1 -> {b}")
 
 
 def test_acceptance_6_entropy_bounds():
+    # The trained spread term is ln L minus the stage-memory entropy, so it
+    # lies in [0, ln L]: ln L for a single-stage schedule, 0 for an even split.
+    def spread(stages, mems, latency):
+        return training_loss(isolated_nodes(mems), stages, latency)[1]
+
     rng = np.random.default_rng(600)
     worst_violation = 0.0
     for _ in range(10_000):
@@ -164,26 +151,16 @@ def test_acceptance_6_entropy_bounds():
         n = int(rng.integers(1, 9))
         stages = rng.integers(0, latency, size=n)
         mems = list(rng.choice([0.5, 1.0, 2.0], size=n))
-        tape = Tape()
-        vecs = []
-        for s in stages:
-            v = np.zeros(latency)
-            v[s] = 1.0
-            vecs.append(tape.constant(v))
-        h = float(entropy_loss(tape, vecs, mems).value[0])
-        worst_violation = max(worst_violation, -h, h - math.log(latency) if latency > 1 else h)
+        s = spread(stages, mems, latency)
+        worst_violation = max(worst_violation, -s, s - math.log(latency))
     # equality cases
-    tape = Tape()
-    single = [tape.constant(np.array([1.0, 0.0])) for _ in range(4)]
-    h_single = float(entropy_loss(tape, single, [1.0] * 4).value[0])
-    tape = Tape()
-    uniform = [tape.constant(np.eye(4)[i]) for i in range(4)]
-    h_uniform = float(entropy_loss(tape, uniform, [1.0] * 4).value[0])
-    ok = (worst_violation <= 1e-12 and abs(h_single) <= 1e-12
-          and abs(h_uniform - math.log(4)) <= 1e-12)
+    s_single = spread([0] * 4, [1.0] * 4, 2)
+    s_uniform = spread([0, 1, 2, 3], [1.0] * 4, 4)
+    ok = (worst_violation <= 1e-12 and abs(s_single - math.log(2)) <= 1e-12
+          and abs(s_uniform) <= 1e-12)
     report(6, "entropy-bounds", ok,
            f"10000 schedules, worst bound slack {worst_violation:.1e}, "
-           f"single-stage {h_single:.1e}, uniform gap {abs(h_uniform - math.log(4)):.1e}")
+           f"single-stage gap {abs(s_single - math.log(2)):.1e}, uniform {s_uniform:.1e}")
 
 
 def test_acceptance_7_ilp_self_consistency():

@@ -1,28 +1,14 @@
+"""The training loss of a hard schedule (``engine.loss_and_grad``) and the
+exact discrete evaluator."""
 import math
 
 import numpy as np
 import pytest
 
-from diffsched.autodiff import Tape
+from diffsched.engine import RunConfig, compile_graph, loss_and_grad, run
 from diffsched.graph import Edge, Node, SchedGraph, min_feasible_latency
-from diffsched.losses import (
-    comm_loss,
-    discrete_metrics,
-    entropy_loss,
-    normalized_progress,
-    spread_loss,
-    total_loss,
-)
-from helpers import random_dag, random_legal_schedule
-
-
-def onehot_vectors(tape, stages, latency):
-    out = []
-    for s in stages:
-        v = np.zeros(latency)
-        v[s] = 1.0
-        out.append(tape.constant(v))
-    return out
+from diffsched.losses import discrete_metrics, normalized_progress
+from helpers import isolated_nodes, random_dag, random_legal_schedule, training_loss
 
 
 def chain_ab(comm=1.0):
@@ -32,38 +18,35 @@ def chain_ab(comm=1.0):
     )
 
 
+def entropy(stages, mems, latency):
+    """Stage-memory entropy -sum (N_i/M) log(N_i/M), read off the trained
+    spread term, which is ln L minus it."""
+    return math.log(latency) - training_loss(isolated_nodes(mems), stages, latency)[1]
+
+
 class TestEntropyLoss:
     def test_single_stage_is_zero(self):
-        tape = Tape()
-        vecs = onehot_vectors(tape, [0, 0, 0], 3)
-        h = entropy_loss(tape, vecs, [1.0, 1.0, 1.0])
-        assert abs(h.value[0]) < 1e-12
+        assert abs(entropy([0, 0, 0], [1.0, 1.0, 1.0], 3)) < 1e-12
 
     def test_uniform_split_is_log_l(self):
-        tape = Tape()
-        vecs = onehot_vectors(tape, [0, 1, 2, 3], 4)
-        h = entropy_loss(tape, vecs, [1.0] * 4)
-        assert abs(h.value[0] - math.log(4)) < 1e-12
+        assert abs(entropy([0, 1, 2, 3], [1.0] * 4, 4) - math.log(4)) < 1e-12
 
     def test_two_one_split(self):
-        tape = Tape()
-        vecs = onehot_vectors(tape, [0, 0, 1], 2)
-        h = entropy_loss(tape, vecs, [1.0] * 3)
         expected = -(2 / 3) * math.log(2 / 3) - (1 / 3) * math.log(1 / 3)
-        assert abs(h.value[0] - expected) < 1e-12
+        assert abs(entropy([0, 0, 1], [1.0] * 3, 2) - expected) < 1e-12
 
     def test_weighted_memories(self):
-        tape = Tape()
-        vecs = onehot_vectors(tape, [0, 1], 2)
-        h = entropy_loss(tape, vecs, [3.0, 1.0])
         expected = -(0.75) * math.log(0.75) - 0.25 * math.log(0.25)
-        assert abs(h.value[0] - expected) < 1e-12
+        assert abs(entropy([0, 1], [3.0, 1.0], 2) - expected) < 1e-12
 
-    def test_zero_total_memory_rejected(self):
-        tape = Tape()
-        vecs = onehot_vectors(tape, [0], 2)
-        with pytest.raises(ValueError):
-            entropy_loss(tape, vecs, [0.0])
+    def test_zero_total_memory_gives_zero_spread(self):
+        # Every legal schedule is then equally good: no spread term and no
+        # spread gradient, on hard and soft rows alike.
+        cg = compile_graph(isolated_nodes([0.0, 0.0]), 3)
+        y = np.array([[0.2, 0.5, 0.3], [0.6, 0.3, 0.1]])
+        total, spread, comm, grad = loss_and_grad(cg, y, y, np.zeros(2, dtype=np.intp), 0.5, 10.0)
+        assert (total, spread, comm) == (0.0, 0.0, 0.0)
+        assert not grad.any()
 
     def test_bounds_fuzz(self):
         rng = np.random.default_rng(1)
@@ -72,43 +55,27 @@ class TestEntropyLoss:
             n = int(rng.integers(1, 9))
             stages = rng.integers(0, latency, size=n)
             mems = rng.choice([1.0, 2.0, 0.5], size=n)
-            tape = Tape()
-            h = entropy_loss(tape, onehot_vectors(tape, stages, latency), list(mems))
-            assert -1e-12 <= h.value[0] <= math.log(latency) + 1e-12
+            h = entropy(stages, mems, latency)
+            assert -1e-12 <= h <= math.log(latency) + 1e-12
 
     def test_spread_is_log_l_minus_entropy(self):
-        tape = Tape()
-        vecs = onehot_vectors(tape, [0, 1, 1], 3)
-        h = entropy_loss(tape, vecs, [1.0] * 3)
-        tape2 = Tape()
-        s = spread_loss(tape2, onehot_vectors(tape2, [0, 1, 1], 3), [1.0] * 3, 3)
-        assert abs(s.value[0] - (math.log(3) - h.value[0])) < 1e-12
+        spread = training_loss(isolated_nodes([1.0] * 3), [0, 1, 1], 3)[1]
+        h = -(1 / 3) * math.log(1 / 3) - (2 / 3) * math.log(2 / 3)
+        assert abs(spread - (math.log(3) - h)) < 1e-12
 
 
 class TestCommLoss:
     def test_same_stage_no_crossing(self):
-        g = chain_ab()
-        tape = Tape()
-        out = comm_loss(tape, onehot_vectors(tape, [0, 0], 2), g, 2)
-        assert out.value[0] == 0.0
+        assert training_loss(chain_ab(), [0, 0], 2)[2] == 0.0
 
     def test_single_crossing(self):
-        g = chain_ab()
-        tape = Tape()
-        out = comm_loss(tape, onehot_vectors(tape, [0, 1], 2), g, 2)
-        assert abs(out.value[0] - 1.0) < 1e-12
+        assert abs(training_loss(chain_ab(), [0, 1], 2)[2] - 1.0) < 1e-12
 
     def test_edge_crossing_two_boundaries(self):
-        g = chain_ab(comm=2.0)
-        tape = Tape()
-        out = comm_loss(tape, onehot_vectors(tape, [0, 2], 3), g, 3)
-        assert abs(out.value[0] - 2.0) < 1e-12
+        assert abs(training_loss(chain_ab(comm=2.0), [0, 2], 3)[2] - 2.0) < 1e-12
 
     def test_zero_cost_graph(self):
-        g = SchedGraph(nodes=[Node(id="a")])
-        tape = Tape()
-        out = comm_loss(tape, onehot_vectors(tape, [0], 2), g, 2)
-        assert out.value[0] == 0.0
+        assert training_loss(SchedGraph(nodes=[Node(id="a")]), [0], 2)[2] == 0.0
 
     def test_agrees_with_discrete_evaluator(self):
         rng = np.random.default_rng(2)
@@ -118,28 +85,32 @@ class TestCommLoss:
             latency = min_feasible_latency(g) + int(rng.integers(0, 3))
             stages = random_legal_schedule(g, latency, rng)
             total_cost = sum(e.comm for e in g.edges)
-            tape = Tape()
-            vecs = onehot_vectors(tape, [stages[n.id] for n in g.nodes], latency)
-            lc = comm_loss(tape, vecs, g, latency)
+            lc = training_loss(g, stages, latency)[2]
             metrics = discrete_metrics(g, stages, latency, 10.0)
-            assert abs(lc.value[0] * max(total_cost, 1.0) - metrics.comm_total) < 1e-9
+            assert abs(lc * max(total_cost, 1.0) - metrics.comm_total) < 1e-9
 
 
 class TestTotalLoss:
+    """total = lam * spread + comm, on a chain split over 2 of 3 stages:
+    spread ln 3 - ln 2, comm 1."""
+
+    SPREAD = math.log(3) - math.log(2)
+
     def test_arithmetic(self):
-        lb = total_loss(0.5, 0.2, 10.0)
-        assert abs(lb.total - 5.2) < 1e-12
+        total, spread, comm = training_loss(chain_ab(), [0, 1], 3, lam=10.0)
+        assert abs(spread - self.SPREAD) < 1e-12 and comm == 1.0
+        assert abs(total - (10.0 * self.SPREAD + 1.0)) < 1e-12
 
     def test_lambda_zero(self):
-        assert total_loss(0.5, 0.2, 0.0).total == 0.2
+        assert training_loss(chain_ab(), [0, 1], 3, lam=0.0)[0] == 1.0
 
     def test_large_lambda(self):
-        lb = total_loss(0.5, 0.2, 100.0)
-        assert abs(lb.total - (100 * 0.5 + 0.2)) < 1e-12
+        total = training_loss(chain_ab(), [0, 1], 3, lam=100.0)[0]
+        assert abs(total - (100 * self.SPREAD + 1.0)) < 1e-12
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            total_loss(0.5, 0.2, -1.0)
+            run(chain_ab(), RunConfig(L=2, epochs=5, lam=-1.0))
 
 
 class TestDiscreteMetrics:
