@@ -16,6 +16,17 @@ from diffsched.graph import (
 )
 
 
+class FixedUniformRng:
+    """Stub exposing .uniform that returns preset values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def uniform(self, size=None):
+        assert size == self.values.shape or size == len(self.values)
+        return self.values.copy()
+
+
 def random_dag(
     rng: np.random.Generator,
     n_nodes: int,

@@ -13,18 +13,7 @@ from diffsched.graph import (
     check_legal,
     min_feasible_latency,
 )
-from helpers import random_dag
-
-
-class FixedUniformRng:
-    """Stub exposing .uniform that returns preset values."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def uniform(self, size=None):
-        assert size == self.values.shape or size == len(self.values)
-        return self.values.copy()
+from helpers import FixedUniformRng, random_dag
 
 
 def uncapped(g, length):
