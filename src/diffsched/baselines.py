@@ -9,36 +9,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import (
-    InfeasibleError,
-    SchedGraph,
-    _kahn_order,
-    earliest_stages,
-    latest_stages,
-    min_feasible_latency,
-)
+from .graph import InfeasibleError, SchedGraph, earliest_stages, stage_bounds
 from .losses import discrete_metrics
 
 _BRUTE_FORCE_LIMIT = 10**7
 
 
-def _require_feasible(g: SchedGraph, latency: int) -> None:
-    l_min = min_feasible_latency(g)
+def _require_feasible(latency: int, earliest: list[int]) -> None:
+    l_min = 1 + max(earliest, default=0)
     if latency < l_min:
         raise InfeasibleError(f"latency {latency} below minimum feasible {l_min}")
 
 
 def asap(g: SchedGraph, latency: int) -> dict[str, int]:
     """Every node at its minimum legal stage."""
-    _require_feasible(g, latency)
     lo = earliest_stages(g)
+    _require_feasible(latency, lo)
     return {n.id: lo[i] for i, n in enumerate(g.nodes)}
 
 
 def alap(g: SchedGraph, latency: int) -> dict[str, int]:
     """Every node at its maximum legal stage, working back from L-1."""
-    _require_feasible(g, latency)
-    hi = latest_stages(g, latency)
+    _, earliest, hi = stage_bounds(g, latency)
+    _require_feasible(latency, earliest)
     return {n.id: hi[i] for i, n in enumerate(g.nodes)}
 
 
@@ -53,10 +46,9 @@ def brute_force(
         raise ValueError(
             f"instance too large for brute force: {latency}^{g.n_nodes} assignments"
         )
-    _require_feasible(g, latency)
-    order = _kahn_order(g)
+    order, earliest, hi = stage_bounds(g, latency)
+    _require_feasible(latency, earliest)
     preds = g.predecessors()
-    hi = latest_stages(g, latency)
     n = g.n_nodes
 
     stages = [0] * n
@@ -93,49 +85,43 @@ def brute_force(
 def greedy_balance(g: SchedGraph, latency: int, ratio: float) -> dict[str, int]:
     """List-scheduling-style heuristic: place nodes in topological order,
     each at the legal stage minimizing the objective of the partial
-    placement. Deterministic; ties go to the earliest stage."""
-    _require_feasible(g, latency)
-    order = _kahn_order(g)
-    preds = g.predecessors()
-    hi = latest_stages(g, latency)
+    placement. Deterministic; ties go to the earliest stage.
 
-    stages: dict[int, int] = {}
+    In topological order a node's parents are placed and its children are
+    not, so placing it completes exactly its in-edges: a candidate stage
+    costs the current boundaries plus those edges' crossings, and the peak
+    of the current stage memories with the node added at that stage.
+    """
+    order, earliest, hi = stage_bounds(g, latency)
+    _require_feasible(latency, earliest)
+    in_edges: list[list[tuple[int, int, float]]] = [[] for _ in g.nodes]
+    for e in g.edges:
+        in_edges[g.node_index(e.dst)].append((g.node_index(e.src), e.sdc_c, e.comm))
+
+    stages = [0] * g.n_nodes
     stage_mem = [0.0] * latency
     boundary = [0.0] * max(latency - 1, 0)
-
-    def incremental(v: int, s: int) -> float:
-        peak = max(
-            max(stage_mem[j] + (g.nodes[v].mem if j == s else 0.0) for j in range(latency)),
-            0.0,
-        )
-        comm = sum(boundary)
-        for e in g.edges:  # edges fully placed once v lands at s
-            u, w = g.node_index(e.src), g.node_index(e.dst)
-            if v not in (u, w):
-                continue
-            a = s if u == v else stages.get(u)
-            b = s if w == v else stages.get(w)
-            if a is None or b is None:
-                continue
-            comm += e.comm * max(0, b - a)
-        return comm + ratio * peak
-
     for v in order:
+        ins = in_edges[v]
         lo = 0
-        for u, c in preds[v]:
+        for u, c, _ in ins:
             lo = max(lo, stages[u] - c)
+        mem = g.nodes[v].mem
+        peak = max(stage_mem)
+        placed = sum(boundary)
         best_s, best_cost = lo, float("inf")
         for s in range(lo, hi[v] + 1):
-            cost = incremental(v, s)
+            comm = placed
+            for u, _, w in ins:
+                comm += w * max(0, s - stages[u])
+            cost = comm + ratio * max(peak, stage_mem[s] + mem, 0.0)
             if cost < best_cost - 1e-12:
                 best_cost, best_s = cost, s
         stages[v] = best_s
-        stage_mem[best_s] += g.nodes[v].mem
-        for e in g.edges:
-            u, w = g.node_index(e.src), g.node_index(e.dst)
-            if u in stages and w in stages and (u == v or w == v):
-                for i in range(stages[u], stages[w]):
-                    boundary[i] += e.comm
+        stage_mem[best_s] += mem
+        for u, _, w in ins:
+            for i in range(stages[u], best_s):
+                boundary[i] += w
     return {n.id: stages[i] for i, n in enumerate(g.nodes)}
 
 

@@ -1,21 +1,27 @@
 """Gradient-descent scheduling loop.
 
-The graph is compiled once per run into arrays: topological order,
-predecessor lists, ALAP caps, the memory vector, and the endpoints and costs
-of the edges that carry communication. Each epoch is then whole-matrix work
-on the |V| x L logit matrix:
+The graph is compiled once per run into arrays, from one topological pass:
+the order, the minimum feasible latency, ALAP caps, the memory vector, and
+the endpoints, constants and costs of the edges. Each epoch is then
+whole-matrix work on the |V| x L logit matrix:
 
 - draw the Gumbel noise as one block (row k goes to the k-th node in
   topological order);
-- walk the nodes in topological order and take each one's stage as the
-  argmax of (logits + noise) / tau inside the window its placed
-  predecessors and its ALAP cap allow, so every hard schedule is legal;
+- take each node's stage as the argmax of (logits + noise) / tau inside the
+  window its parents' stages and its ALAP cap allow (the Gumbel-max trick,
+  Jang et al., arXiv:1611.01144, restricted to the window), so every hard
+  schedule is legal. Whole-graph sweeps re-place the nodes whose window
+  floor rose until none does; the result is what a walk in topological
+  order gives;
 - evaluate the training loss lam * spread + comm on the hard one-hots and
   form its straight-through gradient in closed form (Bengio et al.,
   arXiv:1308.3432): the adjoint of the one-hots, masked to each node's
   window and pulled back through the row-wise tempered softmax Y of logits
   plus noise;
-- take an Adam/AdamW step on the logits.
+- take an Adam/AdamW step on the logits;
+- score the hard schedule (peak memory, boundary communication, LP
+  objective) on the compiled edge arrays, with the bits of
+  ``losses.discrete_metrics``.
 
 ``loss_and_grad`` accepts any stage-probability matrix. At mask * Y it
 returns the exact gradient of the relaxed loss, which is what the tests
@@ -37,14 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import (
-    InfeasibleError,
-    SchedGraph,
-    _kahn_order,
-    latest_stages,
-    min_feasible_latency,
-)
-from .losses import discrete_metrics
+from .graph import InfeasibleError, SchedGraph, check_legal, stage_bounds
 
 # Uniform draws are clamped away from {0, 1} before the double-log transform.
 _U_CLAMP = 1e-12
@@ -157,32 +156,48 @@ def adam_step(
 class CompiledGraph:
     """Array form of a graph at one latency; nodes by declaration index."""
 
-    order: list[int]  # topological order
-    preds: list[list[tuple[int, int]]]  # (pred index, sdc c) per node
+    order: np.ndarray  # topological order
+    l_min: int  # minimum feasible latency
     hi: np.ndarray  # ALAP cap per node
     mem: np.ndarray
     total_mem: float
+    e_src: np.ndarray  # endpoints, sdc constants and costs of every edge, in edge order
+    e_dst: np.ndarray
+    e_c: np.ndarray
+    e_comm: np.ndarray
     src: np.ndarray  # endpoints and costs of the comm != 0 edges
     dst: np.ndarray
     comm: np.ndarray
     total_comm: float
+    cell_stage: np.ndarray  # stage of each cell of a flattened |V| x L matrix
+    window_penalty: tuple[np.ndarray, np.ndarray]  # (cap, floor), see sample_stages
 
 
 def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
-    order = _kahn_order(g)
-    if order is None:
-        raise ValueError("graph contains a cycle")
-    live = [e for e in g.edges if e.comm != 0.0]
+    order, earliest, hi = stage_bounds(g, latency)
+    stage = np.arange(latency)
+    index = g.node_index
+    e_src = np.array([index(e.src) for e in g.edges], dtype=np.intp)
+    e_dst = np.array([index(e.dst) for e in g.edges], dtype=np.intp)
+    comm = np.array([e.comm for e in g.edges], dtype=np.float64)
+    live = comm != 0.0
     return CompiledGraph(
-        order=order,
-        preds=g.predecessors(),
-        hi=np.array(latest_stages(g, latency), dtype=np.intp),
+        order=np.array(order, dtype=np.intp),
+        l_min=1 + max(earliest, default=0),
+        hi=np.array(hi, dtype=np.intp),
         mem=np.array([n.mem for n in g.nodes], dtype=np.float64),
         total_mem=float(sum(n.mem for n in g.nodes)),
-        src=np.array([g.node_index(e.src) for e in live], dtype=np.intp),
-        dst=np.array([g.node_index(e.dst) for e in live], dtype=np.intp),
-        comm=np.array([e.comm for e in live], dtype=np.float64),
+        e_src=e_src,
+        e_dst=e_dst,
+        e_c=np.array([e.sdc_c for e in g.edges], dtype=np.intp),
+        e_comm=comm,
+        src=e_src[live],
+        dst=e_dst[live],
+        comm=comm[live],
         total_comm=float(sum(e.comm for e in g.edges)),
+        cell_stage=np.tile(stage, g.n_nodes),
+        window_penalty=(np.where(stage > stage[:, None], -np.inf, 0.0),
+                        np.where(stage < stage[:, None], -np.inf, 0.0)),
     )
 
 
@@ -203,10 +218,20 @@ def sample_stages(
     """Draw one legal hard schedule; returns (stages, y, lo).
 
     Each node's stage is the argmax (first on ties) of (logits + noise) / tau
-    over its window ``[lo, hi]``: ``lo`` is the lowest stage its placed
-    predecessors allow, ``hi`` its ALAP cap. ``y`` is the row-wise tempered
-    softmax of logits plus noise, kept for the gradient only. Raises
-    InfeasibleError for an empty window and ValueError for a non-finite row.
+    over its window ``[lo, hi]``: ``lo`` is the lowest stage its parents'
+    stages allow, ``hi`` its ALAP cap. ``y`` is the row-wise tempered softmax
+    of logits plus noise, kept for the gradient only.
+
+    The stages are the fixed point of whole-graph sweeps: the first places
+    every node over ``[0, hi]``; each later one recomputes ``lo`` over all
+    edges and re-places only the nodes below it. A stage only rises, and the
+    first argmax over a window with a higher floor is never earlier, so no
+    stage passes the one a walk in topological order would give; at the
+    fixed point every stage is the first argmax over its final window, which
+    is that walk's recurrence. A DAG settles within depth + 1 sweeps.
+    Raises, as that walk would at the first node in topological order that
+    fails, InfeasibleError for an empty window and ValueError for a
+    non-finite row.
     """
     n, latency = weights.shape
     if n != len(cg.order):
@@ -215,31 +240,57 @@ def sample_stages(
     noise[cg.order] = gumbel_noise(rng, (n, latency))
     z = (weights + noise) / tau
     e = np.exp(z - z.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
+    row_sum = e.sum(axis=1, keepdims=True)  # finite iff the row of y is
+    y = e / row_sum
 
-    rows = z.tolist()
-    finite = np.isfinite(y).all(axis=1).tolist()
-    hi = cg.hi.tolist()
-    stages = [0] * n
-    lo = [0] * n
-    for v in cg.order:
-        low = 0
-        for u, c in cg.preds[v]:
-            t = stages[u] - c
-            if t >= latency:
-                raise InfeasibleError(
-                    f"constraint needs stage {t} but only {latency} stages exist"
-                )
-            if t > low:
-                low = t
-        if low > hi[v]:
-            raise InfeasibleError("combined constraint mask has no feasible stage")
-        if not finite[v]:
-            raise ValueError("straight_through_onehot: non-finite input")
-        window = rows[v][low : hi[v] + 1]
-        stages[v] = low + window.index(max(window))
-        lo[v] = low
-    return stages, y, np.array(lo, dtype=np.intp)
+    # cap[k] is -inf past stage k and floor[k] before it, so rows hi and lo
+    # added to z leave the window. Clipping keeps a cap below 0 or a floor
+    # past the last stage in range; such a window is empty, and its node
+    # fails below.
+    cap, floor = cg.window_penalty
+    capped = z + cap.take(cg.hi, axis=0, mode="clip")
+    stages = capped.argmax(axis=1)
+    while True:
+        lo = np.zeros(n, dtype=np.intp)
+        np.maximum.at(lo, cg.e_dst, stages[cg.e_src] - cg.e_c)
+        moved = (lo > stages).nonzero()[0]
+        if not moved.size:
+            break
+        low = lo[moved]
+        window = capped[moved]
+        window += floor.take(low, axis=0, mode="clip")
+        # An empty window leaves the node at lo, so that stages still rise
+        # and the sweeps settle; the error is raised once they have.
+        stages[moved] = np.maximum(window.argmax(axis=1), low)
+    bad = lo > cg.hi
+    if bad.any() or not np.isfinite(row_sum).all():
+        raise _first_failure(cg, stages, lo, bad, y, latency)
+    return stages.tolist(), y, lo
+
+
+def _first_failure(
+    cg: CompiledGraph, stages: np.ndarray, lo: np.ndarray, bad: np.ndarray,
+    y: np.ndarray, latency: int,
+) -> ValueError:
+    """The error of the first node in topological order with an empty window
+    or a non-finite row. Its ancestors are free of both, so their stages and
+    its ``lo`` are the walk's; the window is checked before the row, and the
+    first in-edge needing a stage past the last is named."""
+    failing = bad | ~np.isfinite(y).all(axis=1)
+    position = np.empty(len(stages), dtype=np.intp)
+    position[cg.order] = np.arange(len(stages))
+    candidates = np.flatnonzero(failing)
+    v = candidates[position[candidates].argmin()]
+    if not bad[v]:
+        return ValueError("straight_through_onehot: non-finite input")
+    into = cg.e_dst == v
+    need = stages[cg.e_src[into]] - cg.e_c[into]
+    past = need[need >= latency]
+    if past.size:
+        return InfeasibleError(
+            f"constraint needs stage {int(past[0])} but only {latency} stages exist"
+        )
+    return InfeasibleError("combined constraint mask has no feasible stage")
 
 
 def loss_and_grad(
@@ -264,7 +315,6 @@ def loss_and_grad(
     straight-through one.
     """
     n, latency = s.shape
-    cols = np.arange(latency)
 
     spread = 0.0
     if cg.total_mem > 0.0:
@@ -272,7 +322,7 @@ def loss_and_grad(
         # Sums each stage over the nodes in index order, as a bincount of
         # the hard stages does, so one-hot rows give the same bits.
         q = np.bincount(
-            np.tile(cols, n), weights=(cg.mem[:, None] * s).ravel(), minlength=latency
+            cg.cell_stage, weights=(cg.mem[:, None] * s).ravel(), minlength=latency
         ) * inv_m
         q_floor = np.maximum(q, _LOG_FLOOR)
         log_q = np.log(q_floor)
@@ -301,10 +351,36 @@ def loss_and_grad(
         np.subtract.at(g_cum, cg.dst, before)
         grad += g_cum[:, ::-1].cumsum(axis=1)[:, ::-1]
 
+    cols = np.arange(latency)
     grad *= (cols >= lo[:, None]) & (cols <= cg.hi[:, None])
     inner = grad[:, None, :] @ y[:, :, None]  # row-wise <grad, y>, as 1-D dots
     grad = (grad - inner[:, 0]) * y / tau
     return spread * lam + comm, spread, comm, grad
+
+
+def _score(
+    g: SchedGraph, cg: CompiledGraph, stages: np.ndarray, latency: int
+) -> tuple[float, float]:
+    """(peak_mem, comm_total) of a hard schedule, with the bits of
+    ``losses.discrete_metrics``: stage memory and each boundary are summed
+    in node and edge order, and the boundaries by a Python sum."""
+    a = stages[cg.e_src]
+    rise = stages[cg.e_dst] - a
+    if stages.size and (
+        (rise + cg.e_c < 0).any() or stages.min() < 0 or stages.max() >= latency
+    ):
+        named = {n.id: s for n, s in zip(g.nodes, stages.tolist())}
+        raise ValueError("illegal schedule: " + "; ".join(check_legal(g, named, latency)))
+    # float(): a bincount over no nodes is integer
+    peak_mem = float(max(np.bincount(stages, weights=cg.mem, minlength=latency).tolist()))
+    # Edge k crosses boundaries a_k .. a_k + span_k - 1; listed edge-major,
+    # each boundary adds its edges in edge order. Edges without cost add
+    # +0.0, which leaves every sum's bits as they are.
+    span = np.maximum(rise, 0)
+    end = np.cumsum(span)
+    crossed = np.arange(end[-1] if end.size else 0) - np.repeat(end - span - a, span)
+    comm = np.bincount(crossed, weights=np.repeat(cg.e_comm, span), minlength=latency - 1)
+    return peak_mem, float(sum(comm.tolist()))
 
 
 def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
@@ -315,13 +391,12 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
     epoch's hard schedule is drawn; stages are indexed by declaration order.
     """
     config.validate()
-    l_min = min_feasible_latency(g)
-    if config.L < l_min:
+    cg = compile_graph(g, config.L)
+    if config.L < cg.l_min:
         raise InfeasibleError(
-            f"latency {config.L} below minimum feasible latency {l_min}"
+            f"latency {config.L} below minimum feasible latency {cg.l_min}"
         )
 
-    cg = compile_graph(g, config.L)
     rng = np.random.default_rng(config.seed)
     weights = init_params(g, config, rng)
     state = AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
@@ -341,14 +416,16 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
         stages, y, lo = sample_stages(cg, weights, tau, rng)
         if on_epoch is not None:
             on_epoch(epoch, stages)
+        hard = np.array(stages, dtype=np.intp)
         total, l_spread, l_comm, grad = loss_and_grad(
-            cg, onehot[stages], y, lo, tau, config.lam
+            cg, onehot[hard], y, lo, tau, config.lam
         )
         weights = adam_step(weights, grad, state, config.lr, weight_decay=wd)
 
-        metrics = discrete_metrics(g, stages, config.L, config.ratio)
-        if metrics.lp_objective < best_obj:
-            best_obj = metrics.lp_objective
+        peak_mem, comm_total = _score(g, cg, hard, config.L)
+        lp_objective = comm_total + config.ratio * peak_mem
+        if lp_objective < best_obj:
+            best_obj = lp_objective
             best_stages = {n.id: s for n, s in zip(g.nodes, stages)}
         trajectory.append(
             TrajectoryPoint(
@@ -357,9 +434,9 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
                 loss_total=total,
                 loss_entropy=l_spread,
                 loss_comm=l_comm,
-                peak_mem=metrics.peak_mem,
-                comm_total=metrics.comm_total,
-                lp_objective=metrics.lp_objective,
+                peak_mem=peak_mem,
+                comm_total=comm_total,
+                lp_objective=lp_objective,
                 best_so_far=best_obj,
             )
         )

@@ -7,6 +7,7 @@ parent's stage (chaining) but never run earlier.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
@@ -93,32 +94,53 @@ def validate(g: SchedGraph) -> List[str]:
     return violations
 
 
-def _kahn_order(g: SchedGraph) -> List[int] | None:
-    """Kahn's algorithm with declaration-order tie-break; None if cyclic."""
-    n = g.n_nodes
-    indeg = [0] * n
-    succs: List[List[int]] = [[] for _ in range(n)]
+def _adjacency(g: SchedGraph) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
+    """Per node (by index): (successor index, sdc_c) over outgoing edges in
+    edge order, and the in-degree."""
+    index = g._index
+    succs: List[List[Tuple[int, int]]] = [[] for _ in g.nodes]
+    indeg = [0] * g.n_nodes
     for e in g.edges:
-        u, v = g.node_index(e.src), g.node_index(e.dst)
+        v = index[e.dst]
+        succs[index[e.src]].append((v, e.sdc_c))
         indeg[v] += 1
-        succs[u].append(v)
-    # Sorted container keeps ties in declaration order without a heap: we
-    # scan ready nodes smallest-index-first.
-    import heapq
+    return succs, indeg
 
+
+def _kahn(
+    succs: List[List[Tuple[int, int]]], indeg: List[int]
+) -> Tuple[List[int] | None, List[int]]:
+    """Kahn's algorithm with declaration-order tie-break: (order, earliest
+    stages); order is None if cyclic.
+
+    A node's earliest legal stage is final when it is popped, so the ASAP
+    propagation stage(v) >= stage(u) - c_uv, clamped at 0, rides along.
+    Consumes ``indeg``.
+    """
+    n = len(succs)
+    # The ready list starts sorted, hence a valid heap; popping the smallest
+    # index keeps ties in declaration order.
     ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
+    lo = [0] * n
     order: List[int] = []
     while ready:
         u = heapq.heappop(ready)
         order.append(u)
-        for v in succs[u]:
+        t = lo[u]
+        for v, c in succs[u]:
+            if t - c > lo[v]:
+                lo[v] = t - c
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(ready, v)
     if len(order) != n:
-        return None
-    return order
+        return None, lo
+    return order, lo
+
+
+def _kahn_order(g: SchedGraph) -> List[int] | None:
+    """Kahn's algorithm with declaration-order tie-break; None if cyclic."""
+    return _kahn(*_adjacency(g))[0]
 
 
 def topological_order(g: SchedGraph) -> List[str]:
@@ -127,6 +149,26 @@ def topological_order(g: SchedGraph) -> List[str]:
     if order is None:
         raise GraphError("graph contains a cycle")
     return [g.nodes[i].id for i in order]
+
+
+def stage_bounds(g: SchedGraph, latency: int) -> Tuple[List[int], List[int], List[int]]:
+    """(topological order, earliest stages, latest stages) by node index,
+    from one adjacency build and one Kahn pass.
+
+    Earliest is the ASAP assignment; latest the ALAP one given ``latency``
+    stages, whose entries may fall below the earliest stage when latency is
+    below the minimum feasible latency, 1 + max(earliest).
+    """
+    succs, indeg = _adjacency(g)
+    order, lo = _kahn(succs, indeg)
+    if order is None:
+        raise GraphError("graph contains a cycle")
+    hi = [latency - 1] * g.n_nodes
+    for v in reversed(order):
+        for w, c in succs[v]:
+            if hi[w] + c < hi[v]:
+                hi[v] = hi[w] + c
+    return order, lo, hi
 
 
 def min_feasible_latency(g: SchedGraph) -> int:
@@ -141,14 +183,9 @@ def min_feasible_latency(g: SchedGraph) -> int:
 
 def earliest_stages(g: SchedGraph) -> List[int]:
     """Per-node minimum legal stage (the ASAP assignment), by node index."""
-    order = _kahn_order(g)
+    order, lo = _kahn(*_adjacency(g))
     if order is None:
         raise GraphError("graph contains a cycle")
-    preds = g.predecessors()
-    lo = [0] * g.n_nodes
-    for v in order:
-        for u, c in preds[v]:
-            lo[v] = max(lo[v], lo[u] - c)
     return lo
 
 
@@ -157,15 +194,7 @@ def latest_stages(g: SchedGraph, latency: int) -> List[int]:
 
     Entries may fall below the earliest stage when latency < min feasible.
     """
-    order = _kahn_order(g)
-    if order is None:
-        raise GraphError("graph contains a cycle")
-    succs = g.successors()
-    hi = [latency - 1] * g.n_nodes
-    for v in reversed(order):
-        for w, c in succs[v]:
-            hi[v] = min(hi[v], hi[w] + c)
-    return hi
+    return stage_bounds(g, latency)[2]
 
 
 def check_legal(g: SchedGraph, stages: Mapping[str, int], latency: int) -> List[str]:

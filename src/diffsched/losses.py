@@ -3,7 +3,9 @@
 ``discrete_metrics`` scores a legal schedule by peak stage memory,
 per-boundary communication and the LP objective; ``normalized_progress``
 turns a run's objectives into its running best relative to the first.
-The training loss and its gradient live in ``engine.loss_and_grad``.
+The training loss and its gradient live in ``engine.loss_and_grad``; the
+engine scores its own epochs on the compiled graph with the same bits, and
+the tests hold that scoring to ``discrete_metrics``.
 """
 from __future__ import annotations
 
@@ -53,12 +55,18 @@ def discrete_metrics(
 
 
 def normalized_progress(objectives: list[float]) -> list[float]:
-    """Running-best objective over the initial objective; starts at 1.0."""
+    """Running-best objective over the initial objective; starts at 1.0.
+
+    A first objective of 0 is already optimal (objectives are nonnegative),
+    so its progress reads 1.0 throughout.
+    """
     if not objectives:
         raise ValueError("normalized_progress: empty trajectory")
     first = objectives[0]
-    if first <= 0:
-        raise ValueError("normalized_progress: first objective must be positive")
+    if first < 0:
+        raise ValueError("normalized_progress: first objective must be nonnegative")
+    if first == 0:
+        return [1.0] * len(objectives)
     out = []
     best = first
     for obj in objectives:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from diffsched.graph import (
     save_graph,
 )
 from diffsched.harness import main
+from diffsched.losses import discrete_metrics
 from helpers import gradient_error, random_dag, relaxed_loss
 
 
@@ -164,6 +166,34 @@ class TestRun:
                 q.epoch, q.loss_total, q.loss_entropy, q.loss_comm,
                 q.peak_mem, q.comm_total, q.lp_objective, q.best_so_far)
 
+    def test_epoch_metrics_are_discrete_metrics(self):
+        """Each epoch's peak_mem, comm_total and lp_objective carry the bits
+        of losses.discrete_metrics on that epoch's schedule."""
+        rng = np.random.default_rng(13)
+        for i in range(80):
+            g = SchedGraph() if i == 0 else random_dag(
+                rng, int(rng.integers(1, 24)), c_choices=(-1, 0, 1),
+                comm_choices=(0.0, 0.1, 0.7, 2.3), mem_choices=(0.1, 0.3, 0.7, 1.9))
+            latency = min_feasible_latency(g) + int(rng.integers(0, 4))
+            ratio = float(rng.choice([0.3, 1.0, 10.0]))
+            seen = []
+            cfg = RunConfig(L=latency, epochs=20, ratio=ratio, seed=int(rng.integers(100)))
+            result = run(g, cfg, on_epoch=lambda epoch, stages: seen.append(stages))
+            for p, stages in zip(result.trajectory, seen, strict=True):
+                m = discrete_metrics(g, stages, latency, ratio)
+                got = (p.peak_mem, p.comm_total, p.lp_objective)
+                assert [x.hex() for x in got] == [
+                    x.hex() for x in (m.peak_mem, m.comm_total, m.lp_objective)]
+
+    def test_illegal_schedule_rejected(self, monkeypatch):
+        def backwards(cg, weights, tau, rng):
+            _, y, lo = sample_stages(cg, weights, tau, rng)
+            return [1, 0], y, lo
+
+        monkeypatch.setattr(engine, "sample_stages", backwards)
+        with pytest.raises(ValueError, match=r"^illegal schedule: edge \('a','b'\): 1 - 0 > 0$"):
+            run(chain_ab(), RunConfig(L=2, epochs=5))
+
     def test_infeasible_latency(self):
         g = SchedGraph(
             nodes=[Node(id="a"), Node(id="b")],
@@ -199,14 +229,23 @@ class TestSampleStages:
         """Each node takes the first argmax of (logits + noise) / tau over
         [lo, hi], lo recomputed from the returned stages of its parents."""
         rng = np.random.default_rng(11)
+        cases = []
         for _ in range(200):
             g = random_dag(rng, int(rng.integers(1, 15)), c_choices=(-1, 0, 1),
                            comm_choices=(0.0, 1.0, 2.5), mem_choices=(0.5, 1.0, 3.0))
             latency = min_feasible_latency(g) + int(rng.integers(0, 3))
             weights = rng.normal(scale=2.0, size=(g.n_nodes, latency))
             tau = float(rng.uniform(1e-4, 1.5))
-            seed = int(rng.integers(1 << 30))
-
+            cases.append((g, latency, weights, tau, int(rng.integers(1 << 30))))
+        # Worst case for the sweeps: on a c = -1 chain whose logits favour
+        # stage 0, node k settles only in sweep k + 1.
+        length = 40
+        chain = SchedGraph(nodes=[Node(id=f"n{i}") for i in range(length)],
+                           edges=[Edge(f"n{i}", f"n{i + 1}", sdc_c=-1) for i in range(length - 1)])
+        weights = np.zeros((length, length + 2))
+        weights[:, 0] = 50.0
+        cases.append((chain, length + 2, weights, 1.0, 0))
+        for g, latency, weights, tau, seed in cases:
             cg = compile_graph(g, latency)
             stages, y, lo = sample_stages(cg, weights, tau, np.random.default_rng(seed))
 
@@ -300,14 +339,16 @@ class TestEpochErrors:
     def test_empty_window(self, monkeypatch):
         # run() refuses L below the minimum feasible latency, which is what
         # keeps windows nonempty; lift that check to reach the epoch's own.
-        monkeypatch.setattr(engine, "min_feasible_latency", lambda g: 1)
+        monkeypatch.setattr(engine, "compile_graph",
+                            lambda g, latency: replace(compile_graph(g, latency), l_min=1))
         with pytest.raises(InfeasibleError, match="^combined constraint mask has no feasible stage$"):
             run(one_edge_graph(c=-1), RunConfig(L=1, epochs=5))
 
     def test_predecessor_window_overflows(self, monkeypatch):
         # Without the ALAP cap, a source pushed to the last stage leaves its
         # c = -1 consumer no stage.
-        monkeypatch.setattr(engine, "latest_stages", lambda g, latency: [latency - 1] * g.n_nodes)
+        monkeypatch.setattr(engine, "compile_graph", lambda g, latency: replace(
+            compile_graph(g, latency), hi=np.full(g.n_nodes, latency - 1)))
         with pytest.raises(InfeasibleError, match="^constraint needs stage 2 but only 2 stages exist$"):
             run(one_edge_graph(c=-1), RunConfig(L=2, epochs=5, init_bias=-50.0))
 

@@ -153,6 +153,23 @@ class TestCompare:
         report = json.loads((out / "report.json").read_text())
         assert len(report["methods"]["greedy"]["normalized"]) == 1
 
+    def test_zero_objective_graph(self, tmp_path):
+        # Zero-memory graphs whose first sampled schedule already scores 0.
+        nodes = [Node(id="a", mem=0.0), Node(id="b", mem=0.0)]
+        out = tmp_path / "cmpz"
+        for edges in ([], [Edge("a", "b")]):
+            path = tmp_path / "z.json"
+            path.write_text(save_graph(SchedGraph(nodes=nodes, edges=edges)))
+            for seed in ("0", "1"):
+                assert main(["compare", "-g", str(path), "-L", "2", "--methods", "diff",
+                             "--epochs", "5", "--seed", seed, "--timeout-ms", "2000",
+                             "--out", str(out)]) == 0
+                diff = json.loads((out / "report.json").read_text())["methods"]["diff"]
+                assert diff["objective"] == 0.0
+                assert diff["normalized"][0] == 1.0
+                if not edges:
+                    assert set(diff["normalized"]) == {1.0}
+
     def test_unknown_method(self, tmp_path):
         graph = write_chain(tmp_path)
         assert main(["compare", "-g", graph, "-L", "2", "--methods", "magic",

@@ -163,4 +163,7 @@ class TestNormalizedProgress:
 
     def test_nonpositive_start_rejected(self):
         with pytest.raises(ValueError):
-            normalized_progress([0.0, 1.0])
+            normalized_progress([-1.0, 1.0])
+
+    def test_zero_start_stays_at_one(self):
+        assert normalized_progress([0.0, 1.0, 0.0]) == [1.0, 1.0, 1.0]

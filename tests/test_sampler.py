@@ -108,6 +108,37 @@ class TestCombineMasks:
             sample_stages(cg, pinned(cg, [1], 3), 1.0, np.random.default_rng(0))
 
 
+class TestFirstFailure:
+    """With several failing nodes, the error is the one a walk in
+    topological order meets first, and at one node an empty window before a
+    non-finite row."""
+
+    @staticmethod
+    def graph():
+        # a is declared first but placed last; p pinned to stage 2 leaves it
+        # no stage, and b's window is emptied by its cap
+        g = SchedGraph(nodes=[Node(id="a"), Node(id="b"), Node(id="p")],
+                       edges=[Edge("b", "a"), Edge("p", "a", sdc_c=-1)])
+        cg = uncapped(g, 3)
+        return cg, replace(cg, hi=np.array([2, -1, 2])), pinned(cg, [0, 0, 2], 3)
+
+    def test_topological_order_not_declaration_order(self):
+        cg, empty_b, weights = self.graph()
+        with pytest.raises(InfeasibleError, match="^combined constraint mask has no feasible stage$"):
+            sample_stages(empty_b, weights, 1.0, np.random.default_rng(0))
+        with pytest.raises(InfeasibleError, match="^constraint needs stage 3 but only 3 stages exist$"):
+            sample_stages(cg, weights, 1.0, np.random.default_rng(0))
+
+    def test_non_finite_row(self):
+        cg, empty_b, weights = self.graph()
+        for v, broken, want in ((0, empty_b, "no feasible stage"), (1, empty_b, "no feasible stage"),
+                                (2, cg, "non-finite input"), (2, empty_b, "no feasible stage")):
+            w = weights.copy()
+            w[v] = np.nan
+            with pytest.raises(ValueError, match=want):
+                sample_stages(broken, w, 1.0, np.random.default_rng(0))
+
+
 class TestConstrainedSample:
     def test_masked_out_stage_never_sampled(self):
         rng = np.random.default_rng(3)
