@@ -16,7 +16,9 @@ from diffsched.graph import (
     Node,
     SchedGraph,
     check_legal,
+    latest_stages,
     min_feasible_latency,
+    topological_order,
 )
 from diffsched.losses import discrete_metrics
 from helpers import enumerate_legal, random_dag
@@ -118,6 +120,37 @@ class TestGreedyBalance:
             latency = min_feasible_latency(g) + int(rng.integers(0, 3))
             stages = greedy_balance(g, latency, 10.0)
             assert check_legal(g, stages, latency) == []
+
+    def test_each_node_takes_the_first_cheapest_stage(self):
+        """In topological order, each node takes the first stage of its
+        window minimizing comm + ratio * peak over the nodes placed so far."""
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            g = random_dag(rng, int(rng.integers(1, 12)), c_choices=(-1, 0, 1),
+                           comm_choices=(0.0, 0.3, 1.7), mem_choices=(0.2, 0.9, 2.5))
+            latency = min_feasible_latency(g) + int(rng.integers(0, 3))
+            ratio = float(rng.choice([0.5, 10.0]))
+            stages = greedy_balance(g, latency, ratio)
+            hi = latest_stages(g, latency)
+            placed: dict[str, int] = {}
+
+            def cost(trial):
+                stage_mem = [0.0] * latency
+                for n in g.nodes:
+                    if n.id in trial:
+                        stage_mem[trial[n.id]] += n.mem
+                comm = sum(e.comm * max(0, trial[e.dst] - trial[e.src])
+                           for e in g.edges if e.src in trial and e.dst in trial)
+                return comm + ratio * max(stage_mem)
+
+            for v in topological_order(g):
+                lo = max([0] + [placed[e.src] - e.sdc_c for e in g.edges if e.dst == v])
+                costs = [cost({**placed, v: s}) for s in range(lo, hi[g.node_index(v)] + 1)]
+                k = stages[v] - lo
+                assert 0 <= k < len(costs)
+                assert all(c > costs[k] for c in costs[:k])
+                assert all(c >= costs[k] - 1e-9 for c in costs[k:])
+                placed[v] = stages[v]
 
     def test_usually_not_worse_than_asap(self):
         # empirical comparison recorded as a report, not a hard bound per case
