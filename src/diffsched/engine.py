@@ -17,11 +17,21 @@ whole-matrix work on the |V| x L logit matrix:
   form its straight-through gradient in closed form (Bengio et al.,
   arXiv:1308.3432): the adjoint of the one-hots, masked to each node's
   window and pulled back through the row-wise tempered softmax Y of logits
-  plus noise;
+  plus noise. The comm adjoint reaches the edge endpoints by one
+  ``np.bincount`` over a flat cell index compiled with the graph, in the
+  order an ``np.add.at`` over the sources and an ``np.subtract.at`` over the
+  destinations would add it, so with the same bits;
 - take an Adam/AdamW step on the logits;
 - score the hard schedule (peak memory, boundary communication, LP
   objective) on the compiled edge arrays, with the bits of
   ``losses.discrete_metrics``.
+
+The |V| x L temporaries (the Gumbel transform, the softmax, the windowed
+logits, the gradient's pull-back and Adam's moments and step) are written in
+place in the operation order of the textbook formulas, so an epoch
+allocates few large arrays and every result keeps its bits. The sampler
+returns the stages as an intp array, which ``run`` turns into a list once
+per epoch.
 
 ``loss_and_grad`` accepts any stage-probability matrix. At mask * Y it
 returns the exact gradient of the relaxed loss, which is what the tests
@@ -40,6 +50,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,18 +119,14 @@ def tau_schedule(epoch: int, epochs: int, tau_start: float, tau_end: float) -> f
     return tau_start * (tau_end / tau_start) ** (epoch / (epochs - 1))
 
 
-def init_params(g: SchedGraph, config: RunConfig, rng: np.random.Generator) -> np.ndarray:
+def init_params(cg: CompiledGraph, config: RunConfig, rng: np.random.Generator) -> np.ndarray:
     """Logit matrix |V| x L. Source nodes get a bias toward stage 0; all
     other rows start as small uniform noise."""
-    n = g.n_nodes
-    weights = rng.uniform(-0.5, 0.5, size=(n, config.L))
-    has_pred = [False] * n
-    for e in g.edges:
-        has_pred[g.node_index(e.dst)] = True
-    for v in range(n):
-        if not has_pred[v]:
-            weights[v] = 0.0
-            weights[v, 0] = config.init_bias
+    weights = rng.uniform(-0.5, 0.5, size=(len(cg.order), config.L))
+    source = np.ones(len(cg.order), dtype=bool)
+    source[cg.e_dst] = False
+    weights[source] = 0.0
+    weights[source, 0] = config.init_bias
     return weights
 
 
@@ -141,15 +148,30 @@ def adam_step(
     weight_decay: float = 0.0,
 ) -> np.ndarray:
     """One Adam step with bias correction; nonzero weight_decay applies the
-    decoupled (AdamW) decay before the Adam delta."""
+    decoupled (AdamW) decay before the Adam delta. Returns the new weights;
+    ``state.m`` and ``state.v`` are updated in place.
+
+    Computes weights - lr * m_hat / (sqrt(v_hat) + eps) with the textbook
+    operation order, so each element has the bits of the out-of-place form.
+    """
     if weight_decay:
         weights = weights * (1.0 - lr * weight_decay)
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    return weights - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    buf = np.multiply(grad, 1.0 - beta1)
+    m *= beta1
+    m += buf
+    np.multiply(grad, 1.0 - beta2, out=buf)
+    buf *= grad
+    v *= beta2
+    v += buf
+    np.divide(v, 1.0 - beta2 ** state.t, out=buf)  # v_hat
+    np.sqrt(buf, out=buf)
+    buf += eps
+    step = np.divide(m, 1.0 - beta1 ** state.t)  # m_hat
+    step *= lr
+    step /= buf
+    return np.subtract(weights, step, out=step)
 
 
 @dataclass(frozen=True)
@@ -171,16 +193,38 @@ class CompiledGraph:
     total_comm: float
     cell_stage: np.ndarray  # stage of each cell of a flattened |V| x L matrix
     window_penalty: tuple[np.ndarray, np.ndarray]  # (cap, floor), see sample_stages
+    # The comm adjoint's scatter, see loss_and_grad: the flat cells v * L + i
+    # of every comm != 0 edge's source, then of its destination, edge-major;
+    # the weights +comm, -comm of the two halves, shape (2, E, 1); and the
+    # (2, E, L) block that every call overwrites. Reusing the block keeps a
+    # large graph's epoch from mapping fresh pages for it on each call.
+    comm_cells: np.ndarray
+    signed_comm: np.ndarray
+    comm_block: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _window_penalty(latency: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cap, floor) of ``sample_stages``: row k is -inf past stage k, resp.
+    before it, and 0 elsewhere. Read-only, since every graph at this latency
+    shares them."""
+    stage = np.arange(latency)
+    tables = (np.where(stage > stage[:, None], -np.inf, 0.0),
+              np.where(stage < stage[:, None], -np.inf, 0.0))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
     order, earliest, hi = stage_bounds(g, latency)
-    stage = np.arange(latency)
     index = g.node_index
     e_src = np.array([index(e.src) for e in g.edges], dtype=np.intp)
     e_dst = np.array([index(e.dst) for e in g.edges], dtype=np.intp)
     comm = np.array([e.comm for e in g.edges], dtype=np.float64)
     live = comm != 0.0
+    src, dst, live_comm = e_src[live], e_dst[live], comm[live]
+    stage = np.arange(latency)
     return CompiledGraph(
         order=np.array(order, dtype=np.intp),
         l_min=1 + max(earliest, default=0),
@@ -191,13 +235,15 @@ def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
         e_dst=e_dst,
         e_c=np.array([e.sdc_c for e in g.edges], dtype=np.intp),
         e_comm=comm,
-        src=e_src[live],
-        dst=e_dst[live],
-        comm=comm[live],
+        src=src,
+        dst=dst,
+        comm=live_comm,
         total_comm=float(sum(e.comm for e in g.edges)),
         cell_stage=np.tile(stage, g.n_nodes),
-        window_penalty=(np.where(stage > stage[:, None], -np.inf, 0.0),
-                        np.where(stage < stage[:, None], -np.inf, 0.0)),
+        window_penalty=_window_penalty(latency),
+        comm_cells=(np.concatenate([src, dst])[:, None] * latency + stage).ravel(),
+        signed_comm=np.stack([live_comm, -live_comm])[:, :, None],
+        comm_block=np.empty((2, len(live_comm), latency)),
     )
 
 
@@ -208,14 +254,18 @@ def gumbel_noise(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.nd
     row by row.
     """
     u = rng.uniform(size=size)
-    u = np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP)
-    return -np.log(-np.log(u))
+    np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
 
 def sample_stages(
     cg: CompiledGraph, weights: np.ndarray, tau: float, rng: np.random.Generator
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Draw one legal hard schedule; returns (stages, y, lo).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one legal hard schedule; returns (stages, y, lo), stages as an
+    intp array by declaration index.
 
     Each node's stage is the argmax (first on ties) of (logits + noise) / tau
     over its window ``[lo, hi]``: ``lo`` is the lowest stage its parents'
@@ -236,19 +286,23 @@ def sample_stages(
     n, latency = weights.shape
     if n != len(cg.order):
         raise ValueError("weight matrix row count does not match node count")
-    noise = np.empty_like(weights)
-    noise[cg.order] = gumbel_noise(rng, (n, latency))
-    z = (weights + noise) / tau
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    row_sum = e.sum(axis=1, keepdims=True)  # finite iff the row of y is
-    y = e / row_sum
+    # z = (logits + noise) / tau, written over the noise block
+    z = np.empty_like(weights)
+    z[cg.order] = gumbel_noise(rng, (n, latency))
+    z += weights
+    z /= tau
+    y = np.subtract(z, z.max(axis=1, keepdims=True))
+    np.exp(y, out=y)
+    row_sum = y.sum(axis=1, keepdims=True)  # finite iff the row of y is
+    y /= row_sum
 
     # cap[k] is -inf past stage k and floor[k] before it, so rows hi and lo
     # added to z leave the window. Clipping keeps a cap below 0 or a floor
     # past the last stage in range; such a window is empty, and its node
     # fails below.
     cap, floor = cg.window_penalty
-    capped = z + cap.take(cg.hi, axis=0, mode="clip")
+    capped = z
+    capped += cap.take(cg.hi, axis=0, mode="clip")
     stages = capped.argmax(axis=1)
     while True:
         lo = np.zeros(n, dtype=np.intp)
@@ -265,7 +319,7 @@ def sample_stages(
     bad = lo > cg.hi
     if bad.any() or not np.isfinite(row_sum).all():
         raise _first_failure(cg, stages, lo, bad, y, latency)
-    return stages.tolist(), y, lo
+    return stages, y, lo
 
 
 def _first_failure(
@@ -282,7 +336,7 @@ def _first_failure(
     candidates = np.flatnonzero(failing)
     v = candidates[position[candidates].argmin()]
     if not bad[v]:
-        return ValueError("straight_through_onehot: non-finite input")
+        return ValueError("sample_stages: non-finite input (logits or noise)")
     into = cg.e_dst == v
     need = stages[cg.e_src[into]] - cg.e_c[into]
     past = need[need >= latency]
@@ -312,7 +366,8 @@ def loss_and_grad(
     onto the endpoints. That adjoint is masked to each node's window
     ``[lo, hi]`` and pulled back through the tempered softmax ``y``: for
     s = mask * y the result is the exact gradient, for the hard one-hots the
-    straight-through one.
+    straight-through one. Overwrites ``cg.comm_block``, so calls on one
+    compiled graph must not overlap.
     """
     n, latency = s.shape
 
@@ -336,25 +391,33 @@ def loss_and_grad(
     if cg.total_comm > 0.0:
         inv_c = 1.0 / cg.total_comm
         cum = s.cumsum(axis=1)
-        before = cum[cg.src]  # edge source at or before boundary i
-        after = 1.0 - cum[cg.dst]  # edge destination after boundary i
+        # One (2, E, L) block: "after" = 1 - cum[dst], the edge destination
+        # after boundary i, then "before" = cum[src], the source at or
+        # before it. The endpoints are in range; mode="clip" only lets take
+        # write into the block without a buffer.
+        buf = cg.comm_block
+        after, before = buf
+        np.take(cum, cg.dst, axis=0, out=after, mode="clip")
+        np.subtract(1.0, after, out=after)
         after[:, -1] = 0.0  # the boundaries are 0..L-2
+        np.take(cum, cg.src, axis=0, out=before, mode="clip")
         comm = float(cg.comm @ np.einsum("ij,ij->i", before, after)) * inv_c
-        # Adjoints of cum at the edge ends, formed in place: w * after at
-        # the source, -w * before at the destination.
-        w = (cg.comm * inv_c)[:, None]
-        after *= w
-        before *= w
+        # Adjoints of cum at the edge ends: w * after at the source, -w *
+        # before at the destination, w = comm / total comm. One bincount
+        # over the source cells, then the destination cells, adds each
+        # cell's terms in that order, starting from 0.
+        buf *= cg.signed_comm * inv_c
         before[:, -1] = 0.0
-        g_cum = np.zeros((n, latency))
-        np.add.at(g_cum, cg.src, after)
-        np.subtract.at(g_cum, cg.dst, before)
+        g_cum = np.bincount(cg.comm_cells, weights=buf.ravel(), minlength=n * latency)
+        g_cum = g_cum.reshape(n, latency)
         grad += g_cum[:, ::-1].cumsum(axis=1)[:, ::-1]
 
     cols = np.arange(latency)
     grad *= (cols >= lo[:, None]) & (cols <= cg.hi[:, None])
     inner = grad[:, None, :] @ y[:, :, None]  # row-wise <grad, y>, as 1-D dots
-    grad = (grad - inner[:, 0]) * y / tau
+    grad -= inner[:, 0]
+    grad *= y
+    grad /= tau
     return spread * lam + comm, spread, comm, grad
 
 
@@ -398,13 +461,13 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
         )
 
     rng = np.random.default_rng(config.seed)
-    weights = init_params(g, config, rng)
+    weights = init_params(cg, config, rng)
     state = AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
     wd = config.weight_decay if config.optimizer == "adamw" else 0.0
     onehot = np.eye(config.L)
 
     best_obj = float("inf")
-    best_stages: dict[str, int] = {}
+    best_stages: list[int] = []
     trajectory: list[TrajectoryPoint] = []
     t0 = time.monotonic()
 
@@ -413,10 +476,10 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
             if (time.monotonic() - t0) * 1000.0 > config.timeout_ms:
                 break
         tau = tau_schedule(epoch, config.epochs, config.tau_start, config.tau_end)
-        stages, y, lo = sample_stages(cg, weights, tau, rng)
+        hard, y, lo = sample_stages(cg, weights, tau, rng)
+        stages = hard.tolist()
         if on_epoch is not None:
             on_epoch(epoch, stages)
-        hard = np.array(stages, dtype=np.intp)
         total, l_spread, l_comm, grad = loss_and_grad(
             cg, onehot[hard], y, lo, tau, config.lam
         )
@@ -426,7 +489,7 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
         lp_objective = comm_total + config.ratio * peak_mem
         if lp_objective < best_obj:
             best_obj = lp_objective
-            best_stages = {n.id: s for n, s in zip(g.nodes, stages)}
+            best_stages = stages
         trajectory.append(
             TrajectoryPoint(
                 epoch=epoch,
@@ -441,7 +504,7 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
             )
         )
     return RunResult(
-        best_schedule=best_stages,
+        best_schedule={n.id: s for n, s in zip(g.nodes, best_stages)},
         best_objective=best_obj,
         trajectory=trajectory,
         config=config,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
 
@@ -78,8 +80,9 @@ def validate(g: SchedGraph) -> List[str]:
         if n.id in seen:
             violations.append(f"duplicate id: {n.id!r}")
         seen.add(n.id)
-        if n.mem < 0:
-            violations.append(f"negative weight: node {n.id!r} mem={n.mem}")
+        if not 0.0 <= n.mem < math.inf:  # also false for nan
+            kind = "negative" if math.isfinite(n.mem) else "non-finite"
+            violations.append(f"{kind} weight: node {n.id!r} mem={n.mem}")
     for e in g.edges:
         if e.src not in seen:
             violations.append(f"unknown endpoint: edge src {e.src!r}")
@@ -87,8 +90,11 @@ def validate(g: SchedGraph) -> List[str]:
             violations.append(f"unknown endpoint: edge dst {e.dst!r}")
         if e.src == e.dst:
             violations.append(f"self loop: {e.src!r}")
-        if e.comm < 0:
-            violations.append(f"negative weight: edge ({e.src!r},{e.dst!r}) comm={e.comm}")
+        if not 0.0 <= e.comm < math.inf:
+            kind = "negative" if math.isfinite(e.comm) else "non-finite"
+            violations.append(f"{kind} weight: edge ({e.src!r},{e.dst!r}) comm={e.comm}")
+        if type(e.sdc_c) is not int and not isinstance(e.sdc_c, numbers.Integral):
+            violations.append(f"non-integer constant: edge ({e.src!r},{e.dst!r}) c={e.sdc_c!r}")
     if not violations and _kahn_order(g) is None:
         violations.append("cycle detected")
     return violations
@@ -231,6 +237,29 @@ def load_graph_file(path: str) -> SchedGraph:
         return load_graph(f.read())
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise GraphError(f"{what} is not a number: {value!r}") from None
+
+
+def _constant(value, what: str):
+    """An integral ``c`` as an int; any other number is passed on as a
+    float, which ``validate`` rejects as non-integer."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    c = _number(value, what)
+    return int(c) if c.is_integer() else c
+
+
+def _entries(data: dict, key: str) -> list:
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise GraphError(f"'{key}' must be a list")
+    return entries
+
+
 def _from_json(text: str) -> SchedGraph:
     try:
         data = json.loads(text)
@@ -238,23 +267,32 @@ def _from_json(text: str) -> SchedGraph:
         raise GraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict) or "nodes" not in data:
         raise GraphError("expected object with 'nodes' and 'edges'")
+    # The type() tests skip the conversions for values that JSON already
+    # gives in the right type, which large graphs load faster for.
     nodes = []
-    for nd in data.get("nodes", []):
+    for k, nd in enumerate(_entries(data, "nodes")):
+        if type(nd) is not dict:
+            raise GraphError(f"node {k} is not an object: {nd!r}")
         if "id" not in nd:
             raise GraphError("node missing 'id'")
-        nodes.append(Node(id=str(nd["id"]), mem=float(nd.get("mem", 1.0))))
+        nid = str(nd["id"])
+        mem = nd.get("mem", 1.0)
+        if type(mem) is not float:
+            mem = _number(mem, f"node {nid!r} mem")
+        nodes.append(Node(id=nid, mem=mem))
     edges = []
-    for ed in data.get("edges", []):
+    for k, ed in enumerate(_entries(data, "edges")):
+        if type(ed) is not dict:
+            raise GraphError(f"edge {k} is not an object: {ed!r}")
         if "src" not in ed or "dst" not in ed:
             raise GraphError("edge missing 'src'/'dst'")
-        edges.append(
-            Edge(
-                src=str(ed["src"]),
-                dst=str(ed["dst"]),
-                comm=float(ed.get("comm", 1.0)),
-                sdc_c=int(ed.get("c", 0)),
-            )
-        )
+        src, dst = str(ed["src"]), str(ed["dst"])
+        comm, c = ed.get("comm", 1.0), ed.get("c", 0)
+        if type(comm) is not float:
+            comm = _number(comm, f"edge ({src!r},{dst!r}) comm")
+        if type(c) is not int:
+            c = _constant(c, f"edge ({src!r},{dst!r}) c")
+        edges.append(Edge(src=src, dst=dst, comm=comm, sdc_c=c))
     return SchedGraph(nodes=nodes, edges=edges)
 
 
@@ -277,8 +315,8 @@ def _from_edge_list(text: str) -> SchedGraph:
         if len(parts) < 2 or len(parts) > 4:
             raise GraphError(f"line {lineno}: expected 'src dst [comm] [c]'")
         src, dst = parts[0], parts[1]
-        comm = float(parts[2]) if len(parts) >= 3 else 1.0
-        c = int(parts[3]) if len(parts) == 4 else 0
+        comm = _number(parts[2], f"line {lineno}: comm") if len(parts) >= 3 else 1.0
+        c = _constant(parts[3], f"line {lineno}: c") if len(parts) == 4 else 0
         add_node(src)
         add_node(dst)
         edges.append(Edge(src=src, dst=dst, comm=comm, sdc_c=c))

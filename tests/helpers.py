@@ -1,9 +1,11 @@
 """Shared fuzzing utilities for the test suite."""
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
+import pytest
 
 from diffsched.engine import compile_graph, loss_and_grad
 from diffsched.graph import (
@@ -14,6 +16,25 @@ from diffsched.graph import (
     check_legal,
     latest_stages,
 )
+
+
+# JSON graphs with one bad value each, the loader's one-line message for it,
+# and the test id: non-finite weights, a non-integer constant and entries that
+# are not objects.
+BAD_VALUE_GRAPHS = [
+    pytest.param('{"nodes": [{"id": "a", "mem": NaN}], "edges": []}',
+                 "non-finite weight: node 'a' mem=nan", id="nan-mem"),
+    pytest.param('{"nodes": [{"id": "a"}, {"id": "b"}],'
+                 ' "edges": [{"src": "a", "dst": "b", "comm": Infinity}]}',
+                 "non-finite weight: edge ('a','b') comm=inf", id="inf-comm"),
+    pytest.param('{"nodes": [{"id": "a"}, {"id": "b"}],'
+                 ' "edges": [{"src": "a", "dst": "b", "c": -1.7}]}',
+                 "non-integer constant: edge ('a','b') c=-1.7", id="fractional-c"),
+    pytest.param('{"nodes": [1, 2], "edges": []}', "node 0 is not an object: 1",
+                 id="non-object-node"),
+    pytest.param('{"nodes": [{"id": "a"}], "edges": ["ab"]}', "edge 0 is not an object: 'ab'",
+                 id="non-object-edge"),
+]
 
 
 class FixedUniformRng:
@@ -105,6 +126,47 @@ def relaxed_loss(cg, weights, noise, lo, tau: float, lam: float):
     e = np.exp(z - z.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
     return loss_and_grad(cg, mask * y, y, lo, tau, lam)
+
+
+def reference_loss_and_grad(cg, s, y, lo, tau: float, lam: float):
+    """``loss_and_grad`` with the comm adjoint scattered edge by edge: an
+    ``np.add.at`` of every source's terms, then an ``np.subtract.at`` of
+    every destination's. The engine's single bincount must give these bits."""
+    n, latency = s.shape
+    spread = 0.0
+    if cg.total_mem > 0.0:
+        inv_m = 1.0 / cg.total_mem
+        q = np.bincount(
+            cg.cell_stage, weights=(cg.mem[:, None] * s).ravel(), minlength=latency
+        ) * inv_m
+        q_floor = np.maximum(q, 1e-30)
+        log_q = np.log(q_floor)
+        spread = float((q * log_q).sum()) + math.log(latency)
+        dq = lam * log_q + (lam * q) / q_floor * (q >= 1e-30)
+        grad = cg.mem[:, None] * (dq * inv_m)
+    else:
+        grad = np.zeros((n, latency))
+    comm = 0.0
+    if cg.total_comm > 0.0:
+        inv_c = 1.0 / cg.total_comm
+        cum = s.cumsum(axis=1)
+        before = cum[cg.src]
+        after = 1.0 - cum[cg.dst]
+        after[:, -1] = 0.0
+        comm = float(cg.comm @ np.einsum("ij,ij->i", before, after)) * inv_c
+        w = (cg.comm * inv_c)[:, None]
+        after *= w
+        before *= w
+        before[:, -1] = 0.0
+        g_cum = np.zeros((n, latency))
+        np.add.at(g_cum, cg.src, after)
+        np.subtract.at(g_cum, cg.dst, before)
+        grad += g_cum[:, ::-1].cumsum(axis=1)[:, ::-1]
+    cols = np.arange(latency)
+    grad *= (cols >= lo[:, None]) & (cols <= cg.hi[:, None])
+    inner = grad[:, None, :] @ y[:, :, None]
+    grad = (grad - inner[:, 0]) * y / tau
+    return spread * lam + comm, spread, comm, grad
 
 
 def gradient_error(cg, weights, noise, lo, tau: float, lam: float, eps: float) -> float:

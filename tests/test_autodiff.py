@@ -217,7 +217,7 @@ class TestSoftmax:
         moved = sample_stages(cg, shift, 1.0, zero_noise(2, 2))
         expected = np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum()
         np.testing.assert_allclose(shifted[1][0], expected)
-        assert shifted[0] == moved[0]
+        assert shifted[0].tolist() == moved[0].tolist()
         np.testing.assert_allclose(shifted[1], moved[1], rtol=1e-15)
         hard = np.eye(2)[shifted[0]]
         np.testing.assert_allclose(loss_and_grad(cg, hard, shifted[1], shifted[2], 1.0, 1.0)[3],
@@ -323,5 +323,5 @@ class TestBackward:
             return stages, y, lo, loss_and_grad(cg, np.eye(latency)[stages], y, lo, 0.5, 10.0)
 
         (s1, y1, lo1, out1), (s2, y2, lo2, out2) = epoch(), epoch()
-        assert s1 == s2 and np.array_equal(y1, y2) and np.array_equal(lo1, lo2)
+        assert s1.tolist() == s2.tolist() and np.array_equal(y1, y2) and np.array_equal(lo1, lo2)
         assert out1[:3] == out2[:3] and np.array_equal(out1[3], out2[3])

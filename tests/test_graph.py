@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from diffsched.graph import (
     topological_order,
     validate,
 )
-from helpers import enumerate_legal, random_dag
+from helpers import BAD_VALUE_GRAPHS, enumerate_legal, random_dag
 
 
 def chain(ids, c=0, comm=1.0):
@@ -44,6 +45,16 @@ class TestValidate:
     def test_negative_node_mem(self):
         g = SchedGraph(nodes=[Node(id="a", mem=-2.0)])
         assert any("negative weight" in v for v in validate(g))
+
+    @pytest.mark.parametrize("node, edge, want", [
+        (Node(id="a", mem=float("nan")), Edge("a", "b"), "non-finite weight: node 'a' mem=nan"),
+        (Node(id="a", mem=-float("inf")), Edge("a", "b"), "non-finite weight: node 'a' mem=-inf"),
+        (Node(id="a"), Edge("a", "b", comm=float("inf")), "non-finite weight: edge ('a','b') comm=inf"),
+        (Node(id="a"), Edge("a", "b", sdc_c=1.5), "non-integer constant: edge ('a','b') c=1.5"),
+    ])
+    def test_non_finite_weight_or_non_integer_constant(self, node, edge, want):
+        g = SchedGraph(nodes=[node, Node(id="b")], edges=[edge])
+        assert validate(g) == [want]
 
     def test_unknown_endpoint(self):
         g = SchedGraph(nodes=[Node(id="a")], edges=[Edge(src="a", dst="zz")])
@@ -102,6 +113,17 @@ class TestLoadGraph:
     def test_bad_edge_list_line(self):
         with pytest.raises(GraphError):
             load_graph("a b 1 2 3 too many")
+
+    @pytest.mark.parametrize("text, want", BAD_VALUE_GRAPHS)
+    def test_bad_value_rejected(self, text, want):
+        with pytest.raises(GraphError, match=f"^{re.escape(want)}$"):
+            load_graph(text)
+
+    def test_edge_list_bad_values(self):
+        with pytest.raises(GraphError, match=r"^non-integer constant: edge \('a','b'\) c=1.5$"):
+            load_graph("a b 1 1.5")
+        with pytest.raises(GraphError, match=r"^line 1: comm is not a number: 'x'$"):
+            load_graph("a b x")
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)

@@ -1,8 +1,11 @@
 import csv
 import json
 
+import pytest
+
 from diffsched.graph import Edge, Node, SchedGraph, load_graph_file, save_graph
 from diffsched.harness import TRAJECTORY_HEADER, main
+from helpers import BAD_VALUE_GRAPHS
 
 
 def write_chain(tmp_path, name="g.json", c=0):
@@ -42,6 +45,16 @@ class TestSchedule:
     def test_missing_graph_file(self, tmp_path):
         assert main(["schedule", "-g", str(tmp_path / "nope.json"), "-L", "2",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text, want", BAD_VALUE_GRAPHS)
+    def test_bad_value_exits_2(self, tmp_path, capsys, text, want):
+        graph = tmp_path / "bad.json"
+        graph.write_text(text)
+        code = main(["schedule", "-g", str(graph), "-L", "2", "--epochs", "5",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_infeasible_latency_reports_minimum(self, tmp_path, capsys):
         graph = write_chain(tmp_path, c=-1)

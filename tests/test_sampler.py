@@ -34,7 +34,7 @@ def child_window(cg, parent_stages, length):
     """0/1 mask of the last node's window once its parents are placed."""
     stages, _, lo = sample_stages(cg, pinned(cg, parent_stages, length), 1.0,
                                   np.random.default_rng(0))
-    assert stages[: len(parent_stages)] == list(parent_stages)
+    assert stages[: len(parent_stages)].tolist() == list(parent_stages)
     return [float(lo[-1] <= j <= cg.hi[-1]) for j in range(length)]
 
 
@@ -167,7 +167,7 @@ class TestConstrainedSample:
         cg = compile_graph(fan_in([-1]), 2)  # p capped at 0, k forced to 1
         for _ in range(20):
             stages, _, _ = sample_stages(cg, rng.normal(scale=5, size=(2, 2)), 0.5, rng)
-            assert stages == [0, 1]
+            assert stages.tolist() == [0, 1]
 
     def test_soft_gradient_flows_to_logits(self):
         cg = compile_graph(fan_in([0]), 3)
@@ -243,7 +243,7 @@ class TestSampleSchedule:
         weights = rng.normal(size=(8, latency))
         a = sample_stages(cg, weights, 0.7, np.random.default_rng(42))[0]
         b = sample_stages(cg, weights, 0.7, np.random.default_rng(42))[0]
-        assert a == b
+        assert a.tolist() == b.tolist()
 
     def test_weight_shape_mismatch(self):
         cg = compile_graph(SchedGraph(nodes=[Node(id="a"), Node(id="b")]), 3)
