@@ -1,22 +1,27 @@
 """Exact and heuristic comparison machinery.
 
-brute_force is the ground-truth oracle for small instances; asap/alap and
-greedy_balance are fast comparison schedules; export_ilp emits the full
-0/1 integer program (LP file format) with the bilinear boundary-crossing
-terms linearized, for use with any external solver.
+brute_force is the ground-truth oracle for small instances: it enumerates
+the legal stage vectors in blocks and scores each block at once with
+``engine.score_block``. asap/alap and greedy_balance are fast comparison
+schedules; export_ilp emits the full 0/1 integer program (LP file format)
+with the bilinear boundary-crossing terms linearized, for use with any
+external solver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
+import numpy as np
+
+from .engine import CompiledGraph, compile_graph, score_block
 from .graph import InfeasibleError, SchedGraph, earliest_stages, stage_bounds
-from .losses import discrete_metrics
 
 _BRUTE_FORCE_LIMIT = 10**7
+_BLOCK_ROWS = 1 << 12  # spreads numpy's cost per call, keeps a block small
 
 
-def _require_feasible(latency: int, earliest: list[int]) -> None:
-    l_min = 1 + max(earliest, default=0)
+def _require_feasible(latency: int, l_min: int) -> None:
     if latency < l_min:
         raise InfeasibleError(f"latency {latency} below minimum feasible {l_min}")
 
@@ -24,62 +29,81 @@ def _require_feasible(latency: int, earliest: list[int]) -> None:
 def asap(g: SchedGraph, latency: int) -> dict[str, int]:
     """Every node at its minimum legal stage."""
     lo = earliest_stages(g)
-    _require_feasible(latency, lo)
+    _require_feasible(latency, 1 + max(lo, default=0))
     return {n.id: lo[i] for i, n in enumerate(g.nodes)}
 
 
 def alap(g: SchedGraph, latency: int) -> dict[str, int]:
     """Every node at its maximum legal stage, working back from L-1."""
     _, earliest, hi = stage_bounds(g, latency)
-    _require_feasible(latency, earliest)
+    _require_feasible(latency, 1 + max(earliest, default=0))
     return {n.id: hi[i] for i, n in enumerate(g.nodes)}
+
+
+def legal_blocks(cg: CompiledGraph) -> Iterator[np.ndarray]:
+    """The legal stage vectors (by declaration index) of a feasible graph in
+    (M, V) blocks of at most ``_BLOCK_ROWS`` rows, in the order of a DFS
+    placing the nodes in topological order, each at the stages of its
+    window ``[lo, hi]`` upward (never empty under the ALAP caps). A stack
+    entry holds prefixes and the index of their next expansion to list."""
+    n = len(cg.order)
+    stack = [(np.zeros((1, n), dtype=np.intp), 0, 0)]
+    while stack:
+        rows, pos, start = stack.pop()
+        if pos == n:
+            yield rows
+            continue
+        v = cg.order[pos]
+        into = cg.e_dst == v
+        lo = np.maximum.reduce(rows.take(cg.e_src[into], axis=1) - cg.e_c[into], axis=1, initial=0)
+        count = cg.hi[v] + 1 - lo
+        end = count.cumsum()
+        stop = min(start + _BLOCK_ROWS, int(end[-1]))
+        if stop < end[-1]:
+            stack.append((rows, pos, stop))
+        leaf = np.arange(start, stop)
+        parent = end.searchsorted(leaf, side="right")
+        block = rows.take(parent, axis=0)
+        block[:, v] = leaf - (end - count - lo)[parent]
+        stack.append((block, pos + 1, 0))
 
 
 def brute_force(
     g: SchedGraph, latency: int, ratio: float
 ) -> tuple[dict[str, int], float]:
-    """Exhaustive DFS over stage assignments in topological order, pruning
-    branches that violate a difference constraint or strand a successor.
-    Ties resolve to the lexicographically smallest stage tuple (node
-    declaration order)."""
+    """Exhaustive search over ``legal_blocks``, each block scored at once.
+    In enumeration order, a row wins if its objective is below the best by
+    more than 1e-12, or within 1e-12 of it with a lexicographically smaller
+    stage vector (node declaration order)."""
     if latency ** g.n_nodes > _BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"instance too large for brute force: {latency}^{g.n_nodes} assignments"
         )
-    order, earliest, hi = stage_bounds(g, latency)
-    _require_feasible(latency, earliest)
-    preds = g.predecessors()
-    n = g.n_nodes
-
-    stages = [0] * n
-    best_obj = float("inf")
-    best: list[int] | None = None
-
-    def evaluate() -> float:
-        return discrete_metrics(g, list(stages), latency, ratio).lp_objective
-
-    def dfs(pos: int):
-        nonlocal best_obj, best
-        if pos == n:
-            obj = evaluate()
-            decl = list(stages)
-            if obj < best_obj - 1e-12 or (
-                abs(obj - best_obj) <= 1e-12 and best is not None and decl < best
-            ):
-                best_obj = obj
-                best = decl
-            return
-        v = order[pos]
-        lo = 0
-        for u, c in preds[v]:
-            lo = max(lo, stages[u] - c)
-        for s in range(lo, hi[v] + 1):
-            stages[v] = s
-            dfs(pos + 1)
-
-    dfs(0)
+    cg = compile_graph(g, latency)
+    _require_feasible(latency, cg.l_min)
+    # Stages are digits below L, so the base-L value of a stage vector
+    # orders the vectors lexicographically; the size guard keeps it exact.
+    radix = latency ** np.arange(g.n_nodes - 1, -1, -1, dtype=np.int64)
+    best_obj, best_key, best = float("inf"), 0, None
+    for block in legal_blocks(cg):
+        peak, comm, _ = score_block(g, cg, block, latency)
+        obj = comm + ratio * peak
+        key = block @ radix
+        i = 0
+        while i < len(obj):
+            # The first row from i on that beats the best, which moves only
+            # there; nothing ties the first best, inf.
+            rest = obj[i:]
+            wins = (rest < best_obj - 1e-12) | (
+                (np.abs(rest - best_obj) <= 1e-12) & (key[i:] < best_key))
+            hit = wins.argmax()
+            if not wins[hit]:
+                break
+            i += hit
+            best_obj, best_key, best = float(obj[i]), key[i], block[i]
+            i += 1
     assert best is not None
-    return {node.id: best[i] for i, node in enumerate(g.nodes)}, best_obj
+    return dict(zip((n.id for n in g.nodes), best.tolist())), best_obj
 
 
 def greedy_balance(g: SchedGraph, latency: int, ratio: float) -> dict[str, int]:
@@ -93,7 +117,7 @@ def greedy_balance(g: SchedGraph, latency: int, ratio: float) -> dict[str, int]:
     of the current stage memories with the node added at that stage.
     """
     order, earliest, hi = stage_bounds(g, latency)
-    _require_feasible(latency, earliest)
+    _require_feasible(latency, 1 + max(earliest, default=0))
     in_edges: list[list[tuple[int, int, float]]] = [[] for _ in g.nodes]
     for e in g.edges:
         in_edges[g.node_index(e.dst)].append((g.node_index(e.src), e.sdc_c, e.comm))
@@ -249,11 +273,8 @@ def _render_expr(coeffs: dict[str, float]) -> str:
 
 def render_lp(model: IlpModel) -> str:
     lines = ["Minimize", f" obj: {_render_expr(model.objective)}", "Subject To"]
-    sense_txt = {"<=": "<=", ">=": ">=", "=": "="}
     for con in model.constraints:
-        lines.append(
-            f" {con.name}: {_render_expr(con.coeffs)} {sense_txt[con.sense]} {_num(con.rhs)}"
-        )
+        lines.append(f" {con.name}: {_render_expr(con.coeffs)} {con.sense} {_num(con.rhs)}")
     lines.append("Bounds")
     for name, kind in model.variables.items():
         if kind == "continuous":

@@ -23,8 +23,8 @@ whole-matrix work on the |V| x L logit matrix:
   destinations would add it, so with the same bits;
 - take an Adam/AdamW step on the logits;
 - score the hard schedule (peak memory, boundary communication, LP
-  objective) on the compiled edge arrays, with the bits of
-  ``losses.discrete_metrics``.
+  objective) as a one-row block of ``score_block``, the one scorer of hard
+  schedules, which ``losses`` and ``baselines.brute_force`` call too.
 
 The |V| x L temporaries (the Gumbel transform, the softmax, the windowed
 logits, the gradient's pull-back and Adam's moments and step) are written in
@@ -192,7 +192,6 @@ class CompiledGraph:
     comm: np.ndarray
     total_comm: float
     cell_stage: np.ndarray  # stage of each cell of a flattened |V| x L matrix
-    window_penalty: tuple[np.ndarray, np.ndarray]  # (cap, floor), see sample_stages
     # The comm adjoint's scatter, see loss_and_grad: the flat cells v * L + i
     # of every comm != 0 edge's source, then of its destination, edge-major;
     # the weights +comm, -comm of the two halves, shape (2, E, 1); and the
@@ -217,6 +216,9 @@ def _window_penalty(latency: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
+    """Stage differences lie in [-(L-1), L-1], so clamping the constants to
+    [-L, L] and the caps (below 0 only if L < L_min) to -1 keeps the legal
+    set and fits any input into intp."""
     order, earliest, hi = stage_bounds(g, latency)
     index = g.node_index
     e_src = np.array([index(e.src) for e in g.edges], dtype=np.intp)
@@ -228,19 +230,19 @@ def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
     return CompiledGraph(
         order=np.array(order, dtype=np.intp),
         l_min=1 + max(earliest, default=0),
-        hi=np.array(hi, dtype=np.intp),
+        hi=np.array(hi, dtype=np.float64).clip(-1, None).astype(np.intp),
         mem=np.array([n.mem for n in g.nodes], dtype=np.float64),
         total_mem=float(sum(n.mem for n in g.nodes)),
         e_src=e_src,
         e_dst=e_dst,
-        e_c=np.array([e.sdc_c for e in g.edges], dtype=np.intp),
+        e_c=np.array([e.sdc_c for e in g.edges], dtype=np.float64)
+        .clip(-latency, latency).astype(np.intp),
         e_comm=comm,
         src=src,
         dst=dst,
         comm=live_comm,
         total_comm=float(sum(e.comm for e in g.edges)),
         cell_stage=np.tile(stage, g.n_nodes),
-        window_penalty=_window_penalty(latency),
         comm_cells=(np.concatenate([src, dst])[:, None] * latency + stage).ravel(),
         signed_comm=np.stack([live_comm, -live_comm])[:, :, None],
         comm_block=np.empty((2, len(live_comm), latency)),
@@ -300,7 +302,7 @@ def sample_stages(
     # added to z leave the window. Clipping keeps a cap below 0 or a floor
     # past the last stage in range; such a window is empty, and its node
     # fails below.
-    cap, floor = cg.window_penalty
+    cap, floor = _window_penalty(latency)
     capped = z
     capped += cap.take(cg.hi, axis=0, mode="clip")
     stages = capped.argmax(axis=1)
@@ -421,29 +423,43 @@ def loss_and_grad(
     return spread * lam + comm, spread, comm, grad
 
 
-def _score(
+def score_block(
     g: SchedGraph, cg: CompiledGraph, stages: np.ndarray, latency: int
-) -> tuple[float, float]:
-    """(peak_mem, comm_total) of a hard schedule, with the bits of
-    ``losses.discrete_metrics``: stage memory and each boundary are summed
-    in node and edge order, and the boundaries by a Python sum."""
-    a = stages[cg.e_src]
-    rise = stages[cg.e_dst] - a
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(peak_mem, comm_total, boundary_comm) of each row of an (M, V) block
+    of stage vectors by declaration index; ValueError for the first illegal
+    row. Stage memory adds nodes in index order, a boundary its edges in
+    edge order, comm_total the boundaries left to right, as loops would.
+    """
+    m = len(stages)
+    # Row r owns cells r * L .. r * L + L - 1 of both bincounts, whose terms
+    # come node- (edge-) major, so each cell adds them in index order.
+    width = max(latency, 1)  # an empty graph is legal at any latency
+    cell = stages.T + np.arange(0, m * width, width)  # (V, M)
+    a = cell.take(cg.e_src, axis=0)  # (E, M)
+    rise = cell.take(cg.e_dst, axis=0) - a
     if stages.size and (
-        (rise + cg.e_c < 0).any() or stages.min() < 0 or stages.max() >= latency
+        np.minimum.reduce(rise + cg.e_c[:, None], axis=None, initial=0) < 0
+        or np.minimum.reduce(stages, axis=None) < 0
+        or np.maximum.reduce(stages, axis=None) >= latency
     ):
-        named = {n.id: s for n, s in zip(g.nodes, stages.tolist())}
-        raise ValueError("illegal schedule: " + "; ".join(check_legal(g, named, latency)))
-    # float(): a bincount over no nodes is integer
-    peak_mem = float(max(np.bincount(stages, weights=cg.mem, minlength=latency).tolist()))
-    # Edge k crosses boundaries a_k .. a_k + span_k - 1; listed edge-major,
-    # each boundary adds its edges in edge order. Edges without cost add
-    # +0.0, which leaves every sum's bits as they are.
-    span = np.maximum(rise, 0)
-    end = np.cumsum(span)
-    crossed = np.arange(end[-1] if end.size else 0) - np.repeat(end - span - a, span)
-    comm = np.bincount(crossed, weights=np.repeat(cg.e_comm, span), minlength=latency - 1)
-    return peak_mem, float(sum(comm.tolist()))
+        for row in stages.tolist():
+            violations = check_legal(g, dict(zip((n.id for n in g.nodes), row)), latency)
+            if violations:
+                raise ValueError("illegal schedule: " + "; ".join(violations))
+    # a bincount over nothing is integer, hence the casts
+    stage_mem = np.bincount(cell.ravel(), weights=cg.mem.repeat(m), minlength=m * width)
+    peak = np.maximum.reduce(stage_mem.reshape(m, width), axis=1).astype(np.float64, copy=False)
+    # Edge k crosses boundaries a .. a + span - 1, boundary i of row r being
+    # cell r * L + i; a row's last cell stays 0.0, so its cumsum ends in the
+    # boundaries' sum. Costless edges add +0.0, which keeps every sum's bits.
+    span = np.maximum(rise, 0).ravel()
+    end = span.cumsum()
+    crossed = np.arange(end[-1] if end.size else 0) - (end - span - a.ravel()).repeat(span)
+    cells = np.bincount(
+        crossed, weights=cg.e_comm.repeat(m).repeat(span), minlength=m * width
+    ).astype(np.float64, copy=False).reshape(m, width)
+    return peak, np.add.accumulate(cells, axis=1)[:, -1], cells[:, :-1]
 
 
 def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
@@ -485,7 +501,8 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
         )
         weights = adam_step(weights, grad, state, config.lr, weight_decay=wd)
 
-        peak_mem, comm_total = _score(g, cg, hard, config.L)
+        peak, comm, _ = score_block(g, cg, hard[None], config.L)
+        peak_mem, comm_total = float(peak[0]), float(comm[0])
         lp_objective = comm_total + config.ratio * peak_mem
         if lp_objective < best_obj:
             best_obj = lp_objective

@@ -55,13 +55,6 @@ class SchedGraph:
     def node_index(self, node_id: str) -> int:
         return self._index[node_id]
 
-    def predecessors(self) -> List[List[Tuple[int, int]]]:
-        """Per node (by index): list of (pred_index, sdc_c) over incoming edges."""
-        preds: List[List[Tuple[int, int]]] = [[] for _ in self.nodes]
-        for e in self.edges:
-            preds[self._index[e.dst]].append((self._index[e.src], e.sdc_c))
-        return preds
-
     def successors(self) -> List[List[Tuple[int, int]]]:
         succs: List[List[Tuple[int, int]]] = [[] for _ in self.nodes]
         for e in self.edges:

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
 
 from . import baselines, engine, generator, losses
 from .graph import (
@@ -50,6 +50,15 @@ COMPARE_HEADER = ["method", "sample_ms", "normalized", "best_objective"]
 # exact oracle on small instances; no external solver is invoked.
 BASELINE_NOTE = "baselines are local heuristics and the exact oracle (no external solvers)"
 
+# Comparison schedules by name, each called as (graph, L, ratio). `compare`
+# takes any of them, `baseline --method` all but the oracle, which is `oracle`.
+METHODS = {
+    "asap": lambda g, latency, ratio: baselines.asap(g, latency),
+    "alap": lambda g, latency, ratio: baselines.alap(g, latency),
+    "greedy": baselines.greedy_balance,
+    "oracle": lambda g, latency, ratio: baselines.brute_force(g, latency, ratio)[0],
+}
+
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
@@ -82,43 +91,26 @@ def write_trajectory_csv(path: str, trajectory: list[engine.TrajectoryPoint]) ->
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(TRAJECTORY_HEADER)
-        for p in trajectory:
-            writer.writerow(
-                [
-                    p.epoch,
-                    p.wall_ms,
-                    repr(p.loss_total),
-                    repr(p.loss_entropy),
-                    repr(p.loss_comm),
-                    repr(p.peak_mem),
-                    repr(p.comm_total),
-                    repr(p.lp_objective),
-                    repr(p.best_so_far),
-                ]
-            )
+        for p in trajectory:  # the columns are TrajectoryPoint's fields
+            epoch, wall_ms, *values = astuple(p)
+            writer.writerow([epoch, wall_ms, *map(repr, values)])
 
 
 def schedule_to_json(
     g: SchedGraph, stages: dict[str, int], latency: int, ratio: float
 ) -> dict:
-    metrics = losses.discrete_metrics(g, stages, latency, ratio)
-    return {
-        "L": latency,
-        "stages": stages,
-        "metrics": {
-            "peak_mem": metrics.peak_mem,
-            "comm_total": metrics.comm_total,
-            "lp_objective": metrics.lp_objective,
-            "ratio": ratio,
-        },
-    }
+    metrics = asdict(losses.discrete_metrics(g, stages, latency, ratio))
+    del metrics["boundary_comm"]
+    return {"L": latency, "stages": stages, "metrics": metrics}
 
 
-def _write_schedule(args, g, stages, latency, ratio) -> None:
+def _write_schedule(args, g, stages, latency, ratio) -> dict:
+    """Write schedule.json under --out; returns what it wrote."""
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "schedule.json")
-    with open(path, "w") as f:
-        json.dump(schedule_to_json(g, stages, latency, ratio), f, indent=1)
+    doc = schedule_to_json(g, stages, latency, ratio)
+    with open(os.path.join(args.out, "schedule.json"), "w") as f:
+        json.dump(doc, f, indent=1)
+    return doc
 
 
 def cmd_schedule(args) -> int:
@@ -137,50 +129,39 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    g = _load(args)
-    stages, objective = baselines.brute_force(g, args.L, args.ratio)
-    _write_schedule(args, g, stages, args.L, args.ratio)
-    print(f"optimal objective: {objective}")
-    return EXIT_OK
-
-
 def cmd_baseline(args) -> int:
+    """`baseline`, and `oracle` as the method "oracle"."""
     g = _load(args)
-    if args.method == "asap":
-        stages = baselines.asap(g, args.L)
-    elif args.method == "alap":
-        stages = baselines.alap(g, args.L)
-    else:
-        stages = baselines.greedy_balance(g, args.L, args.ratio)
-    metrics = losses.discrete_metrics(g, stages, args.L, args.ratio)
-    _write_schedule(args, g, stages, args.L, args.ratio)
-    print(f"{args.method} objective: {metrics.lp_objective}")
+    stages = METHODS[args.method](g, args.L, args.ratio)
+    doc = _write_schedule(args, g, stages, args.L, args.ratio)
+    label = "optimal" if args.method == "oracle" else args.method
+    print(f"{label} objective: {doc['metrics']['lp_objective']}")
     return EXIT_OK
+
+
+def _read_schedule(path: str, g: SchedGraph) -> tuple[dict[str, int], int]:
+    """(stages by node id, L) of a schedule file; GraphError unless it holds
+    an integer 'L' and an integer stage for every node."""
+    with open(path) as f:
+        data = json.load(f)
+    if not isinstance(data, dict) or not isinstance(data.get("stages"), dict) or "L" not in data:
+        raise GraphError("schedule file: expected an object with 'L' and 'stages'")
+    try:
+        return {n.id: int(data["stages"][n.id]) for n in g.nodes}, int(data["L"])
+    except KeyError as exc:
+        raise GraphError(f"schedule file: no stage for node {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"schedule file: {exc}") from None
 
 
 def cmd_eval(args) -> int:
     g = _load(args)
-    with open(args.schedule) as f:
-        data = json.load(f)
-    stages = {k: int(v) for k, v in data["stages"].items()}
-    latency = int(data["L"])
+    stages, latency = _read_schedule(args.schedule, g)
     violations = check_legal(g, stages, latency)
     if violations:
         print("illegal schedule: " + "; ".join(violations), file=sys.stderr)
         return EXIT_INVALID
-    metrics = losses.discrete_metrics(g, stages, latency, args.ratio)
-    print(
-        json.dumps(
-            {
-                "peak_mem": metrics.peak_mem,
-                "boundary_comm": metrics.boundary_comm,
-                "comm_total": metrics.comm_total,
-                "lp_objective": metrics.lp_objective,
-                "ratio": args.ratio,
-            }
-        )
-    )
+    print(json.dumps(asdict(losses.discrete_metrics(g, stages, latency, args.ratio))))
     return EXIT_OK
 
 
@@ -230,9 +211,14 @@ def cmd_compare(args) -> int:
     budget = args.timeout_ms if args.timeout_ms is not None else 60_000
     sample_points = list(range(0, budget + 1, interval)) if budget > 0 else [0]
 
+    names = [method.strip() for method in args.methods.split(",")]
+    for method in names:
+        if method != "diff" and method not in METHODS:
+            print(f"unknown method: {method}", file=sys.stderr)
+            return EXIT_INVALID
+
     methods = {}
-    for method in args.methods.split(","):
-        method = method.strip()
+    for method in names:
         if method == "diff":
             config = _config_from_args(args)
             config = replace(config, timeout_ms=budget)
@@ -265,17 +251,7 @@ def cmd_compare(args) -> int:
                 "normalized": losses.normalized_progress(raw),
             }
         else:
-            if method == "oracle":
-                stages, _ = baselines.brute_force(g, args.L, args.ratio)
-            elif method == "asap":
-                stages = baselines.asap(g, args.L)
-            elif method == "alap":
-                stages = baselines.alap(g, args.L)
-            elif method == "greedy":
-                stages = baselines.greedy_balance(g, args.L, args.ratio)
-            else:
-                print(f"unknown method: {method}", file=sys.stderr)
-                return EXIT_INVALID
+            stages = METHODS[method](g, args.L, args.ratio)
             metrics = losses.discrete_metrics(g, stages, args.L, args.ratio)
             methods[method] = {
                 "objective": metrics.lp_objective,
@@ -336,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact brute-force optimum (small graphs)")
     common(p)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_baseline, method="oracle")
 
     p = sub.add_parser("baseline", help="heuristic schedules")
     common(p)
-    p.add_argument("--method", choices=["asap", "alap", "greedy"], default="greedy")
+    p.add_argument("--method", choices=[m for m in METHODS if m != "oracle"], default="greedy")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("eval", help="evaluate a schedule JSON file")
@@ -381,7 +357,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (GraphError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -1,17 +1,19 @@
 """Exact evaluation of hard schedules.
 
-``discrete_metrics`` scores a legal schedule by peak stage memory,
-per-boundary communication and the LP objective; ``normalized_progress``
-turns a run's objectives into its running best relative to the first.
-The training loss and its gradient live in ``engine.loss_and_grad``; the
-engine scores its own epochs on the compiled graph with the same bits, and
-the tests hold that scoring to ``discrete_metrics``.
+``discrete_metrics`` reports a legal schedule's peak stage memory,
+per-boundary communication and LP objective, scored as a one-row block of
+``engine.score_block``; ``normalized_progress`` turns a run's objectives
+into its running best relative to the first. The training loss and its
+gradient live in ``engine.loss_and_grad``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import SchedGraph, check_legal
+import numpy as np
+
+from .engine import compile_graph, score_block
+from .graph import SchedGraph
 
 
 @dataclass
@@ -26,30 +28,19 @@ class DiscreteMetrics:
 def discrete_metrics(
     g: SchedGraph, stages: dict[str, int] | list[int], latency: int, ratio: float
 ) -> DiscreteMetrics:
-    """Exact evaluation of peak memory, per-boundary communication, and the
-    LP objective comm_total + ratio * peak_mem for a hard schedule."""
-    if isinstance(stages, list):
-        stages = {n.id: s for n, s in zip(g.nodes, stages)}
-    violations = check_legal(g, stages, latency)
-    if violations:
-        raise ValueError("illegal schedule: " + "; ".join(violations))
-
-    stage_mem = [0.0] * latency
-    for n in g.nodes:
-        stage_mem[stages[n.id]] += n.mem
-    peak = max(stage_mem) if stage_mem else 0.0
-
-    boundary = [0.0] * max(latency - 1, 0)
-    for e in g.edges:
-        a, b = stages[e.src], stages[e.dst]
-        for i in range(a, b):
-            boundary[i] += e.comm
-    comm_total = float(sum(boundary))
+    """Peak memory, per-boundary communication, and the LP objective
+    comm_total + ratio * peak_mem of a hard schedule, given by node id or
+    as a list in declaration order; ValueError if it is illegal."""
+    if isinstance(stages, dict):
+        stages = [stages[n.id] for n in g.nodes]
+    block = np.array(stages, dtype=np.intp).reshape(1, g.n_nodes)
+    peak, comm, boundary = score_block(g, compile_graph(g, max(latency, 0)), block, latency)
+    peak_mem, comm_total = float(peak[0]), float(comm[0])
     return DiscreteMetrics(
-        peak_mem=peak,
-        boundary_comm=boundary,
+        peak_mem=peak_mem,
+        boundary_comm=boundary[0].tolist(),
         comm_total=comm_total,
-        lp_objective=comm_total + ratio * peak,
+        lp_objective=comm_total + ratio * peak_mem,
         ratio=ratio,
     )
 

@@ -15,7 +15,9 @@ from diffsched.graph import (
     _kahn_order,
     check_legal,
     latest_stages,
+    stage_bounds,
 )
+from diffsched.losses import DiscreteMetrics
 
 
 # JSON graphs with one bad value each, the loader's one-line message for it,
@@ -82,6 +84,14 @@ def enumerate_legal(g: SchedGraph, latency: int):
             yield stages
 
 
+def predecessors(g: SchedGraph) -> list[list[tuple[int, int]]]:
+    """Per node (by index): (predecessor index, sdc_c) over its in-edges."""
+    preds = [[] for _ in g.nodes]
+    for e in g.edges:
+        preds[g.node_index(e.dst)].append((g.node_index(e.src), e.sdc_c))
+    return preds
+
+
 def random_legal_schedule(
     g: SchedGraph, latency: int, rng: np.random.Generator
 ) -> dict[str, int]:
@@ -89,7 +99,7 @@ def random_legal_schedule(
     feasible stage window in topological order. Requires L >= L_min."""
     order = _kahn_order(g)
     assert order is not None
-    preds = g.predecessors()
+    preds = predecessors(g)
     hi = latest_stages(g, latency)
     stages = [0] * g.n_nodes
     for v in order:
@@ -181,3 +191,60 @@ def gradient_error(cg, weights, noise, lo, tau: float, lam: float, eps: float) -
         fd[idx] = (relaxed_loss(cg, up, noise, lo, tau, lam)[0]
                    - relaxed_loss(cg, down, noise, lo, tau, lam)[0]) / (2 * eps)
     return float(np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))))
+
+
+def reference_discrete_metrics(g: SchedGraph, stages, latency: int, ratio: float):
+    """``losses.discrete_metrics`` by dicts and Python loops: stage memory
+    and each boundary summed in node and edge order, the boundaries by a
+    Python sum. The block scorer must give these bits."""
+    if isinstance(stages, list):
+        stages = {n.id: s for n, s in zip(g.nodes, stages)}
+    violations = check_legal(g, stages, latency)
+    if violations:
+        raise ValueError("illegal schedule: " + "; ".join(violations))
+    stage_mem = [0.0] * latency
+    for n in g.nodes:
+        stage_mem[stages[n.id]] += n.mem
+    peak = max(stage_mem) if stage_mem else 0.0
+    boundary = [0.0] * max(latency - 1, 0)
+    for e in g.edges:
+        for i in range(stages[e.src], stages[e.dst]):
+            boundary[i] += e.comm
+    comm_total = float(sum(boundary))
+    return DiscreteMetrics(peak_mem=peak, boundary_comm=boundary, comm_total=comm_total,
+                           lp_objective=comm_total + ratio * peak, ratio=ratio)
+
+
+def reference_brute_force(g: SchedGraph, latency: int, ratio: float):
+    """``baselines.brute_force`` as a DFS over stage assignments in
+    topological order, each node over its window [lo, hi], scoring every
+    leaf with ``reference_discrete_metrics``: a leaf wins if its objective
+    is below the best by more than 1e-12, or within 1e-12 of it with a
+    lexicographically smaller stage list in declaration order."""
+    order, _, hi = stage_bounds(g, latency)
+    preds = predecessors(g)
+    n = g.n_nodes
+    stages = [0] * n
+    best_obj = float("inf")
+    best = None
+
+    def dfs(pos: int):
+        nonlocal best_obj, best
+        if pos == n:
+            obj = reference_discrete_metrics(g, list(stages), latency, ratio).lp_objective
+            decl = list(stages)
+            if obj < best_obj - 1e-12 or (
+                abs(obj - best_obj) <= 1e-12 and best is not None and decl < best
+            ):
+                best_obj = obj
+                best = decl
+            return
+        v = order[pos]
+        lo = max([stages[u] - c for u, c in preds[v]], default=0)
+        for s in range(max(lo, 0), hi[v] + 1):
+            stages[v] = s
+            dfs(pos + 1)
+
+    dfs(0)
+    assert best is not None
+    return {node.id: best[i] for i, node in enumerate(g.nodes)}, best_obj

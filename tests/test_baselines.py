@@ -9,7 +9,9 @@ from diffsched.baselines import (
     export_ilp,
     greedy_balance,
     ilp_assignment_from_schedule,
+    legal_blocks,
 )
+from diffsched.engine import compile_graph, score_block
 from diffsched.graph import (
     Edge,
     InfeasibleError,
@@ -21,7 +23,7 @@ from diffsched.graph import (
     topological_order,
 )
 from diffsched.losses import discrete_metrics
-from helpers import enumerate_legal, random_dag
+from helpers import enumerate_legal, random_dag, reference_brute_force
 
 
 def chain_ab():
@@ -66,6 +68,86 @@ class TestBruteForce:
                        edges=[Edge("a", "b", sdc_c=-1)])
         with pytest.raises(InfeasibleError):
             brute_force(g, 1, 10.0)
+
+
+def redeclared(g, rng):
+    """``g`` with its nodes declared in a random order, so that topological
+    order (the enumeration's) and declaration order (the tie-break's)
+    differ."""
+    return SchedGraph(nodes=[g.nodes[i] for i in rng.permutation(g.n_nodes)], edges=g.edges)
+
+
+def legal_rows(g, latency):
+    return np.concatenate(list(legal_blocks(compile_graph(g, latency))))
+
+
+class TestBlockOracle:
+    """brute_force against ``reference_brute_force``, a DFS scoring leaf by
+    leaf: the same schedule and the same objective bits."""
+
+    def assert_same(self, g, latency, ratio=10.0):
+        stages, obj = brute_force(g, latency, ratio)
+        want_stages, want_obj = reference_brute_force(g, latency, ratio)
+        assert stages == want_stages
+        assert obj.hex() == want_obj.hex()
+
+    def random_cases(self, seed, count, **weights):
+        """``count`` random DAGs of 0-12 nodes with c in {-2..1} at L_min to
+        L_min + 2, drawn again while they have over 2,000 legal schedules."""
+        rng = np.random.default_rng(seed)
+        cases = []
+        while len(cases) < count:
+            g = redeclared(random_dag(rng, int(rng.integers(0, 13)), edge_prob=0.35,
+                                      c_choices=(-2, -1, 0, 1), **weights), rng)
+            latency = min_feasible_latency(g) + int(rng.integers(0, 3))
+            if latency ** g.n_nodes <= 10**7 and len(legal_rows(g, latency)) <= 2000:
+                cases.append((g, latency))
+        return cases
+
+    def test_random_dags(self):
+        for g, latency in self.random_cases(
+                71, 120, comm_choices=(0.0, 1.0, 2.0, 3.0), mem_choices=(0.5, 1.0, 2.0)):
+            self.assert_same(g, latency)
+
+    def test_fractional_weights_near_ties(self):
+        # 0.1 + 0.2 and 0.3 differ in their last bits, inside the tie band.
+        rng = np.random.default_rng(72)
+        for g, latency in self.random_cases(
+                72, 120, comm_choices=(0.1, 0.2, 0.3), mem_choices=(0.1, 0.2, 0.3, 0.7)):
+            self.assert_same(g, latency, ratio=float(rng.choice([0.1, 1.0, 3.0])))
+
+    def test_all_zero_weights_every_leaf_ties(self):
+        for g, latency in self.random_cases(73, 60, comm_choices=(0.0,), mem_choices=(0.0,)):
+            self.assert_same(g, latency)
+            assert brute_force(g, latency, 10.0)[1] == 0.0
+
+    def test_tie_rule_across_blocks(self):
+        # 5,760 legal schedules: an optimum within 1e-12 comes in the first
+        # block, and a later block holds one with a smaller declaration-order
+        # vector, which wins.
+        rng = np.random.default_rng(1)
+        g = redeclared(random_dag(rng, 7, edge_prob=0.25, c_choices=(1, 0),
+                                  comm_choices=(0.1, 0.2, 0.3),
+                                  mem_choices=(0.1, 0.2, 0.3, 0.7)), rng)
+        rows = legal_rows(g, 4)
+        assert len(rows) > 1 << 12
+        self.assert_same(g, 4, ratio=1.0)
+        stages, obj = brute_force(g, 4, 1.0)
+        peak, comm, _ = score_block(g, compile_graph(g, 4), rows, 4)
+        in_band = np.flatnonzero(np.abs(comm + peak - obj) <= 1e-12)
+        winner = np.flatnonzero((rows == [stages[n.id] for n in g.nodes]).all(axis=1))
+        assert in_band[0] < 1 << 12 <= winner[0]
+
+    def test_blocks_list_each_legal_schedule_once(self):
+        rng = np.random.default_rng(74)
+        for _ in range(30):
+            g = redeclared(random_dag(rng, int(rng.integers(1, 6)), c_choices=(-1, 0, 1)), rng)
+            latency = min_feasible_latency(g) + int(rng.integers(0, 2))
+            blocks = list(legal_blocks(compile_graph(g, latency)))
+            assert all(len(b) <= 1 << 12 for b in blocks)
+            got = [tuple(r) for r in np.concatenate(blocks).tolist()]
+            want = {tuple(s[n.id] for n in g.nodes) for s in enumerate_legal(g, latency)}
+            assert len(got) == len(set(got)) and set(got) == want
 
 
 class TestAsapAlap:

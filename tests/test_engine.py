@@ -16,6 +16,7 @@ from diffsched.engine import (
     run,
     run_restarts,
     sample_stages,
+    score_block,
     tau_schedule,
 )
 from diffsched.graph import (
@@ -29,8 +30,14 @@ from diffsched.graph import (
     save_graph,
 )
 from diffsched.harness import main
-from diffsched.losses import discrete_metrics
-from helpers import gradient_error, random_dag, reference_loss_and_grad, relaxed_loss
+from helpers import (
+    gradient_error,
+    random_dag,
+    random_legal_schedule,
+    reference_discrete_metrics,
+    reference_loss_and_grad,
+    relaxed_loss,
+)
 
 
 def chain_ab():
@@ -168,7 +175,7 @@ class TestRun:
 
     def test_epoch_metrics_are_discrete_metrics(self):
         """Each epoch's peak_mem, comm_total and lp_objective carry the bits
-        of losses.discrete_metrics on that epoch's schedule."""
+        of the dict-and-loop scorer on that epoch's schedule."""
         rng = np.random.default_rng(13)
         for i in range(80):
             g = SchedGraph() if i == 0 else random_dag(
@@ -180,7 +187,7 @@ class TestRun:
             cfg = RunConfig(L=latency, epochs=20, ratio=ratio, seed=int(rng.integers(100)))
             result = run(g, cfg, on_epoch=lambda epoch, stages: seen.append(stages))
             for p, stages in zip(result.trajectory, seen, strict=True):
-                m = discrete_metrics(g, stages, latency, ratio)
+                m = reference_discrete_metrics(g, stages, latency, ratio)
                 got = (p.peak_mem, p.comm_total, p.lp_objective)
                 assert [x.hex() for x in got] == [
                     x.hex() for x in (m.peak_mem, m.comm_total, m.lp_objective)]
@@ -213,6 +220,59 @@ class TestRun:
         g = chain_ab()
         result = run(g, RunConfig(L=2, epochs=50, optimizer="adamw", seed=0))
         assert check_legal(g, result.best_schedule, 2) == []
+
+
+class TestScoreBlock:
+    def test_block_rows_score_as_alone(self):
+        """An M-row block scored at once gives each row the bits it gets
+        alone, which are the dict-and-loop scorer's."""
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            g = random_dag(rng, int(rng.integers(0, 10)), c_choices=(-1, 0, 1),
+                           comm_choices=(0.0, 0.1, 0.7, 2.3), mem_choices=(0.1, 0.3, 0.7, 1.9))
+            latency = min_feasible_latency(g) + int(rng.integers(0, 3))
+            schedules = [random_legal_schedule(g, latency, rng)
+                         for _ in range(int(rng.integers(1, 40)))]
+            block = np.array([[s[n.id] for n in g.nodes] for s in schedules],
+                             dtype=np.intp).reshape(len(schedules), g.n_nodes)
+            cg = compile_graph(g, latency)
+            peak, comm, boundary = score_block(g, cg, block, latency)
+            assert boundary.shape == (len(block), latency - 1)
+            for k, row in enumerate(block):
+                m = reference_discrete_metrics(g, row.tolist(), latency, 1.0)
+                want = [x.hex() for x in (m.peak_mem, m.comm_total, *m.boundary_comm)]
+                p1, c1, b1 = score_block(g, cg, row[None], latency)
+                assert [float(x).hex() for x in (peak[k], comm[k], *boundary[k])] == want
+                assert [float(x).hex() for x in (p1[0], c1[0], *b1[0])] == want
+
+    def test_first_illegal_row_named(self):
+        g = chain_ab()
+        block = np.array([[0, 1], [1, 0], [0, 2]])
+        with pytest.raises(ValueError, match=r"^illegal schedule: edge \('a','b'\): 1 - 0 > 0$"):
+            score_block(g, compile_graph(g, 2), block, 2)
+
+    def test_empty_graph_at_any_latency(self):
+        g = SchedGraph()
+        for latency in (0, 1, 3):
+            peak, comm, boundary = score_block(
+                g, compile_graph(g, latency), np.zeros((2, 0), dtype=np.intp), latency)
+            assert peak.tolist() == [0.0, 0.0] and comm.tolist() == [0.0, 0.0]
+            assert boundary.shape == (2, max(latency - 1, 0))
+
+    def test_constants_beyond_int64(self):
+        # Clamped to [-L, L] when compiled, which keeps the legal set: every
+        # schedule at c = 1e20, none at c = -1e20.
+        rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        for c in (10**20, -(10**20)):
+            g = SchedGraph(nodes=[Node(id="a"), Node(id="b")], edges=[Edge("a", "b", sdc_c=c)])
+            cg = compile_graph(g, 2)
+            assert cg.e_c.tolist() == [2 if c > 0 else -2]
+            if c > 0:
+                score_block(g, cg, rows, 2)
+                continue
+            for row in rows:
+                with pytest.raises(ValueError, match="illegal schedule"):
+                    score_block(g, cg, row[None], 2)
 
 
 class TestRunRestarts:

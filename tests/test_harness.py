@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from diffsched import engine, losses
 from diffsched.graph import Edge, Node, SchedGraph, load_graph_file, save_graph
 from diffsched.harness import TRAJECTORY_HEADER, main
 from helpers import BAD_VALUE_GRAPHS
@@ -56,6 +57,22 @@ class TestSchedule:
         assert capsys.readouterr().err == f"error: {want}\n"
         assert not (tmp_path / "run").exists()
 
+    def test_constant_beyond_int64(self, tmp_path, capsys):
+        # c = 1e20 lets b take any stage; c = -1e20 needs 1e20 + 1 stages.
+        graph = tmp_path / "g.json"
+        for c, code, want in (("1e20", 0, "best objective: "),
+                              ("-1e20", 3, "infeasible: latency 2 below minimum feasible "
+                                           "latency 100000000000000000001\n")):
+            graph.write_text('{"nodes":[{"id":"a"},{"id":"b"}],'
+                             f'"edges":[{{"src":"a","dst":"b","c":{c}}}]}}')
+            out = tmp_path / c
+            assert main(["schedule", "-g", str(graph), "-L", "2", "--epochs", "5",
+                         "--out", str(out)]) == code
+            captured = capsys.readouterr()
+            assert (captured.out if code == 0 else captured.err).startswith(want)
+        sched = json.loads((tmp_path / "1e20" / "schedule.json").read_text())
+        assert set(sched["stages"].values()) <= {0, 1}
+
     def test_infeasible_latency_reports_minimum(self, tmp_path, capsys):
         graph = write_chain(tmp_path, c=-1)
         code = main(["schedule", "-g", graph, "-L", "1", "--epochs", "5",
@@ -90,6 +107,27 @@ class TestOracleAndBaseline:
             assert main(["baseline", "-g", graph, "-L", "2", "--method", method,
                          "--out", str(out)]) == 0
             assert (out / "schedule.json").exists()
+        with pytest.raises(SystemExit):
+            main(["baseline", "-g", graph, "-L", "2", "--method", "oracle"])
+
+    def test_baseline_scores_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        score = losses.discrete_metrics
+        monkeypatch.setattr(losses, "discrete_metrics",
+                            lambda *args: calls.append(args) or score(*args))
+        graph = write_chain(tmp_path)
+        assert main(["baseline", "-g", graph, "-L", "2", "--method", "alap",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out == "alap objective: 20.0\n"
+        assert len(calls) == 1
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        graph = write_chain(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(["baseline", "-g", graph, "-L", "2",
+                     "--out", str(tmp_path / "taken")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
 
 
 class TestEval:
@@ -100,6 +138,20 @@ class TestEval:
         assert main(["eval", "-g", graph, "--schedule", str(sched)]) == 0
         metrics = json.loads(capsys.readouterr().out)
         assert metrics["lp_objective"] == 11.0
+
+    @pytest.mark.parametrize("doc, want", [
+        ({"L": 2, "stages": {"a": 0}}, "schedule file: no stage for node 'b'"),
+        ({"stages": {"a": 0, "b": 1}}, "schedule file: expected an object with 'L' and 'stages'"),
+        ({"L": 2, "stages": [0, 1]}, "schedule file: expected an object with 'L' and 'stages'"),
+        ({"L": 2, "stages": {"a": 0, "b": None}}, "schedule file: int() argument must be a "
+         "string, a bytes-like object or a real number, not 'NoneType'"),
+    ], ids=["missing-node", "missing-L", "stages-not-object", "stage-not-integer"])
+    def test_malformed_schedule_file(self, tmp_path, capsys, doc, want):
+        graph = write_chain(tmp_path)
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps(doc))
+        assert main(["eval", "-g", graph, "--schedule", str(sched)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
 
     def test_illegal_schedule_lists_violations(self, tmp_path, capsys):
         graph = write_chain(tmp_path)
@@ -132,6 +184,12 @@ class TestExportIlp:
         assert main(["export-ilp", "-g", graph, "-L", "2", "--out", str(out)]) == 0
         text = out.read_text()
         assert text.startswith("Minimize") and text.rstrip().endswith("End")
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        graph = write_chain(tmp_path)
+        assert main(["export-ilp", "-g", graph, "-L", "2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
 
 class TestCompare:
@@ -183,7 +241,11 @@ class TestCompare:
                 if not edges:
                     assert set(diff["normalized"]) == {1.0}
 
-    def test_unknown_method(self, tmp_path):
+    def test_unknown_method(self, tmp_path, capsys, monkeypatch):
+        # Rejected before any method runs, the diff run included.
+        monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("diff ran"))
         graph = write_chain(tmp_path)
-        assert main(["compare", "-g", graph, "-L", "2", "--methods", "magic",
-                     "--out", str(tmp_path)]) == 2
+        assert main(["compare", "-g", graph, "-L", "2", "--methods", "diff,magic",
+                     "--out", str(tmp_path / "cmp")]) == 2
+        assert capsys.readouterr().err == "unknown method: magic\n"
+        assert not (tmp_path / "cmp").exists()

@@ -8,7 +8,13 @@ import pytest
 from diffsched.engine import RunConfig, compile_graph, loss_and_grad, run
 from diffsched.graph import Edge, Node, SchedGraph, min_feasible_latency
 from diffsched.losses import discrete_metrics, normalized_progress
-from helpers import isolated_nodes, random_dag, random_legal_schedule, training_loss
+from helpers import (
+    isolated_nodes,
+    random_dag,
+    random_legal_schedule,
+    reference_discrete_metrics,
+    training_loss,
+)
 
 
 def chain_ab(comm=1.0):
@@ -132,6 +138,17 @@ class TestDiscreteMetrics:
     def test_illegal_schedule_rejected(self):
         with pytest.raises(ValueError):
             discrete_metrics(chain_ab(), {"a": 1, "b": 0}, 2, 10.0)
+
+    def test_matches_dict_and_loop_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            g = random_dag(rng, int(rng.integers(0, 9)), c_choices=(-1, 0, 1),
+                           comm_choices=(0.0, 0.1, 0.7), mem_choices=(0.1, 0.3, 1.9))
+            latency = min_feasible_latency(g) + int(rng.integers(0, 3))
+            stages = random_legal_schedule(g, latency, rng)
+            for given in (stages, [stages[n.id] for n in g.nodes]):
+                got = discrete_metrics(g, given, latency, 0.3)
+                assert repr(got) == repr(reference_discrete_metrics(g, stages, latency, 0.3))
 
     def test_telescoping_identity_fuzz(self):
         rng = np.random.default_rng(3)
