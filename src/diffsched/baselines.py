@@ -9,6 +9,7 @@ external solver.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -183,15 +184,17 @@ def export_ilp(g: SchedGraph, latency: int, ratio: float) -> tuple[IlpModel, str
     the difference constraints on the stage values; r_<stage> and r capture
     per-stage and peak memory; boundary crossings use one McCormick-
     linearized product binary y_<edge>_<boundary> per edge and boundary.
+    Nodes and edges are named by index, so any id gives valid LP names; the
+    file opens with a comment line per node that maps its index to its id.
     """
     model = IlpModel()
 
-    def svar(node_id: str, j: int) -> str:
-        return f"s_{node_id}_{j}"
+    def svar(v: int, j: int) -> str:
+        return f"s_{v}_{j}"
 
-    for node in g.nodes:
+    for v in range(g.n_nodes):
         for j in range(latency):
-            model.add_var(svar(node.id, j), "binary")
+            model.add_var(svar(v, j), "binary")
     model.add_var("r", "continuous")
     for j in range(latency):
         model.add_var(f"r_{j}", "continuous")
@@ -203,33 +206,29 @@ def export_ilp(g: SchedGraph, latency: int, ratio: float) -> tuple[IlpModel, str
                 model.add_var(f"y_{b}_{i}", "binary")
 
     # one stage per node
-    for node in g.nodes:
-        model.add_constraint(
-            f"sel_{node.id}",
-            {svar(node.id, j): 1.0 for j in range(latency)},
-            "=",
-            1.0,
-        )
+    for v in range(g.n_nodes):
+        model.add_constraint(f"sel_{v}", {svar(v, j): 1.0 for j in range(latency)}, "=", 1.0)
+    ends = [(g.node_index(e.src), g.node_index(e.dst)) for e in g.edges]
     # dependency rows on the stage values sum(j * s_ij)
-    for b, e in enumerate(g.edges):
+    for b, ((u, v), e) in enumerate(zip(ends, g.edges)):
         coeffs: dict[str, float] = {}
         for j in range(1, latency):
-            coeffs[svar(e.src, j)] = coeffs.get(svar(e.src, j), 0.0) + float(j)
-            coeffs[svar(e.dst, j)] = coeffs.get(svar(e.dst, j), 0.0) - float(j)
+            coeffs[svar(u, j)] = coeffs.get(svar(u, j), 0.0) + float(j)
+            coeffs[svar(v, j)] = coeffs.get(svar(v, j), 0.0) - float(j)
         model.add_constraint(f"dep_{b}", coeffs, "<=", float(e.sdc_c))
     # stage memory and peak
     for j in range(latency):
-        coeffs = {svar(node.id, j): node.mem for node in g.nodes if node.mem != 0.0}
+        coeffs = {svar(v, j): node.mem for v, node in enumerate(g.nodes) if node.mem != 0.0}
         coeffs[f"r_{j}"] = -1.0
         model.add_constraint(f"mem_{j}", coeffs, "=", 0.0)
         model.add_constraint(f"peak_{j}", {f"r_{j}": 1.0, "r": -1.0}, "<=", 0.0)
     # boundary crossings: y >= A + B - 1, y <= A, y <= B
     for i in range(latency - 1 if g.edges else 0):
         comm_coeffs: dict[str, float] = {f"m_{i}": 1.0}
-        for b, e in enumerate(g.edges):
+        for b, ((u, v), e) in enumerate(zip(ends, g.edges)):
             y = f"y_{b}_{i}"
-            a_coeffs = {svar(e.src, a): 1.0 for a in range(i + 1)}
-            b_coeffs = {svar(e.dst, h): 1.0 for h in range(i + 1, latency)}
+            a_coeffs = {svar(u, a): 1.0 for a in range(i + 1)}
+            b_coeffs = {svar(v, h): 1.0 for h in range(i + 1, latency)}
             model.add_constraint(
                 f"lin1_{b}_{i}", {**a_coeffs, **b_coeffs, y: -1.0}, "<=", 1.0
             )
@@ -246,7 +245,8 @@ def export_ilp(g: SchedGraph, latency: int, ratio: float) -> tuple[IlpModel, str
     model.objective = {"r": ratio}
     for i in range(latency - 1 if g.edges else 0):
         model.objective[f"m_{i}"] = 1.0
-    return model, render_lp(model)
+    legend = "".join(f"\\ node {v}: {json.dumps(node.id)}\n" for v, node in enumerate(g.nodes))
+    return model, legend + render_lp(model)
 
 
 def _num(x: float) -> str:
@@ -319,9 +319,9 @@ def ilp_assignment_from_schedule(
     """Full variable assignment (selection, memory, boundary products)
     consistent with a hard schedule, for injection into the exported ILP."""
     assignment: dict[str, float] = {}
-    for node in g.nodes:
+    for v, node in enumerate(g.nodes):
         for j in range(latency):
-            assignment[f"s_{node.id}_{j}"] = 1.0 if stages[node.id] == j else 0.0
+            assignment[f"s_{v}_{j}"] = 1.0 if stages[node.id] == j else 0.0
     stage_mem = [0.0] * latency
     for node in g.nodes:
         stage_mem[stages[node.id]] += node.mem

@@ -13,14 +13,14 @@ whole-matrix work on the |V| x L logit matrix:
   schedule is legal. Whole-graph sweeps re-place the nodes whose window
   floor rose until none does; the result is what a walk in topological
   order gives;
-- evaluate the training loss lam * spread + comm on the hard one-hots and
+- evaluate the training loss lam * spread + comm on the hard stages and
   form its straight-through gradient in closed form (Bengio et al.,
-  arXiv:1308.3432): the adjoint of the one-hots, masked to each node's
+  arXiv:1308.3432): the adjoint of the one-hot rows, masked to each node's
   window and pulled back through the row-wise tempered softmax Y of logits
-  plus noise. The comm adjoint reaches the edge endpoints by one
-  ``np.bincount`` over a flat cell index compiled with the graph, in the
-  order an ``np.add.at`` over the sources and an ``np.subtract.at`` over the
-  destinations would add it, so with the same bits;
+  plus noise. At one-hot rows the comm adjoint needs only, per node, the
+  cost of the edges whose other end sits at each stage: one ``np.bincount``
+  of 2E terms and one (V, L) x (L, L) product with a table cached per
+  latency;
 - take an Adam/AdamW step on the logits;
 - score the hard schedule (peak memory, boundary communication, LP
   objective) as a one-row block of ``score_block``, the one scorer of hard
@@ -30,12 +30,10 @@ The |V| x L temporaries (the Gumbel transform, the softmax, the windowed
 logits, the gradient's pull-back and Adam's moments and step) are written in
 place in the operation order of the textbook formulas, so an epoch
 allocates few large arrays and every result keeps its bits. The sampler
-returns the stages as an intp array, which ``run`` turns into a list once
-per epoch.
-
-``loss_and_grad`` accepts any stage-probability matrix. At mask * Y it
-returns the exact gradient of the relaxed loss, which is what the tests
-check against central finite differences.
+returns the stages as an intp array, which ``run`` passes to
+``loss_and_grad`` and turns into a list once per epoch. The relaxed loss of
+any stage-probability matrix, whose gradient the tests check against
+central finite differences, is the tests' reference.
 
 The best schedule is tracked by the discrete LP objective
 (comm_total + ratio * peak_mem), not by the training loss, since the loss is
@@ -191,25 +189,27 @@ class CompiledGraph:
     dst: np.ndarray
     comm: np.ndarray
     total_comm: float
-    cell_stage: np.ndarray  # stage of each cell of a flattened |V| x L matrix
-    # The comm adjoint's scatter, see loss_and_grad: the flat cells v * L + i
-    # of every comm != 0 edge's source, then of its destination, edge-major;
-    # the weights +comm, -comm of the two halves, shape (2, E, 1); and the
-    # (2, E, L) block that every call overwrites. Reusing the block keeps a
-    # large graph's epoch from mapping fresh pages for it on each call.
-    comm_cells: np.ndarray
-    signed_comm: np.ndarray
-    comm_block: np.ndarray
+    out_comm: np.ndarray  # cost of the comm != 0 edges leaving each node
+    # The comm adjoint's bincount, see loss_and_grad: the first cell v * L of
+    # each comm != 0 edge's source row, then of its destination row; the
+    # node at the other end; and the negated costs, both halves.
+    end_cell: np.ndarray
+    other_end: np.ndarray
+    end_comm: np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _window_penalty(latency: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cap, floor) of ``sample_stages``: row k is -inf past stage k, resp.
-    before it, and 0 elsewhere. Read-only, since every graph at this latency
-    shares them."""
+def _stage_tables(latency: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cap, floor, crossings) at one latency, read-only, since every graph
+    at this latency shares them. Row k of cap (floor) is -inf past stage k
+    (before it) and 0 elsewhere; ``sample_stages`` adds rows of them to
+    leave each node's window. crossings[k, j] = max(0, L - 1 - max(j, k))
+    counts the boundaries i <= L - 2 at or past both j and k, see
+    ``loss_and_grad``."""
     stage = np.arange(latency)
     tables = (np.where(stage > stage[:, None], -np.inf, 0.0),
-              np.where(stage < stage[:, None], -np.inf, 0.0))
+              np.where(stage < stage[:, None], -np.inf, 0.0),
+              (latency - 1.0 - np.maximum(stage, stage[:, None])).clip(0.0))
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -226,7 +226,6 @@ def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
     comm = np.array([e.comm for e in g.edges], dtype=np.float64)
     live = comm != 0.0
     src, dst, live_comm = e_src[live], e_dst[live], comm[live]
-    stage = np.arange(latency)
     return CompiledGraph(
         order=np.array(order, dtype=np.intp),
         l_min=1 + max(earliest, default=0),
@@ -242,10 +241,10 @@ def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
         dst=dst,
         comm=live_comm,
         total_comm=float(sum(e.comm for e in g.edges)),
-        cell_stage=np.tile(stage, g.n_nodes),
-        comm_cells=(np.concatenate([src, dst])[:, None] * latency + stage).ravel(),
-        signed_comm=np.stack([live_comm, -live_comm])[:, :, None],
-        comm_block=np.empty((2, len(live_comm), latency)),
+        out_comm=np.bincount(src, weights=live_comm, minlength=g.n_nodes),
+        end_cell=np.concatenate([src, dst]) * latency,
+        other_end=np.concatenate([dst, src]),
+        end_comm=-np.concatenate([live_comm, live_comm]),
     )
 
 
@@ -302,7 +301,7 @@ def sample_stages(
     # added to z leave the window. Clipping keeps a cap below 0 or a floor
     # past the last stage in range; such a window is empty, and its node
     # fails below.
-    cap, floor = _window_penalty(latency)
+    cap, floor, _ = _stage_tables(latency)
     capped = z
     capped += cap.take(cg.hi, axis=0, mode="clip")
     stages = capped.argmax(axis=1)
@@ -351,36 +350,37 @@ def _first_failure(
 
 def loss_and_grad(
     cg: CompiledGraph,
-    s: np.ndarray,
+    t: np.ndarray,
     y: np.ndarray,
     lo: np.ndarray,
     tau: float,
     lam: float,
 ) -> tuple[float, float, float, np.ndarray]:
-    """Training loss lam * spread + comm of the |V| x L stage-probability
-    matrix ``s`` and its gradient w.r.t. the logits.
+    """Training loss lam * spread + comm of the hard stages ``t`` (intp, by
+    declaration index) and its straight-through gradient w.r.t. the logits.
 
     Returns (total, spread, comm, grad). spread = ln L + sum q log q over the
     per-stage memory shares q, and 0 on a graph without memory. comm is the
-    cost of the crossed boundaries over the total edge cost; an edge crosses
-    boundary i < L - 1 by cumsum(s_src)[i] * (1 - cumsum(s_dst)[i]), so the
-    adjoint of ``s`` is a reversed cumsum of per-boundary terms scattered
-    onto the endpoints. That adjoint is masked to each node's window
-    ``[lo, hi]`` and pulled back through the tempered softmax ``y``: for
-    s = mask * y the result is the exact gradient, for the hard one-hots the
-    straight-through one. Overwrites ``cg.comm_block``, so calls on one
-    compiled graph must not overlap.
+    cost of the crossed boundaries, sum comm * max(0, t_dst - t_src), over
+    the total edge cost C.
+
+    The gradient is the relaxed loss's at the one-hot rows s of ``t``: there
+    an edge crosses boundary i < L - 1 by cumsum(s_src)[i] * (1 -
+    cumsum(s_dst)[i]), so the adjoint of s[v, j] sums the factor of the other
+    end over the boundaries i >= j. An edge from v to stage k gives comm *
+    max(0, k - j) = comm * (B[0, j] - B[k, j]), an edge into v from stage k
+    gives -comm * B[k, j], with B the crossings table of ``_stage_tables``.
+    So the adjoint is (W_out x e_0 - R) @ B / C, W_out being each node's
+    outgoing cost and R[v, k] the cost of the edges from or into v whose
+    other end is at stage k. It is masked to each node's window [lo, hi] and
+    pulled back through the tempered softmax ``y``.
     """
-    n, latency = s.shape
+    n, latency = y.shape
 
     spread = 0.0
     if cg.total_mem > 0.0:
         inv_m = 1.0 / cg.total_mem
-        # Sums each stage over the nodes in index order, as a bincount of
-        # the hard stages does, so one-hot rows give the same bits.
-        q = np.bincount(
-            cg.cell_stage, weights=(cg.mem[:, None] * s).ravel(), minlength=latency
-        ) * inv_m
+        q = np.bincount(t, weights=cg.mem, minlength=latency) * inv_m
         q_floor = np.maximum(q, _LOG_FLOOR)
         log_q = np.log(q_floor)
         spread = float((q * log_q).sum()) + math.log(latency)
@@ -392,27 +392,14 @@ def loss_and_grad(
     comm = 0.0
     if cg.total_comm > 0.0:
         inv_c = 1.0 / cg.total_comm
-        cum = s.cumsum(axis=1)
-        # One (2, E, L) block: "after" = 1 - cum[dst], the edge destination
-        # after boundary i, then "before" = cum[src], the source at or
-        # before it. The endpoints are in range; mode="clip" only lets take
-        # write into the block without a buffer.
-        buf = cg.comm_block
-        after, before = buf
-        np.take(cum, cg.dst, axis=0, out=after, mode="clip")
-        np.subtract(1.0, after, out=after)
-        after[:, -1] = 0.0  # the boundaries are 0..L-2
-        np.take(cum, cg.src, axis=0, out=before, mode="clip")
-        comm = float(cg.comm @ np.einsum("ij,ij->i", before, after)) * inv_c
-        # Adjoints of cum at the edge ends: w * after at the source, -w *
-        # before at the destination, w = comm / total comm. One bincount
-        # over the source cells, then the destination cells, adds each
-        # cell's terms in that order, starting from 0.
-        buf *= cg.signed_comm * inv_c
-        before[:, -1] = 0.0
-        g_cum = np.bincount(cg.comm_cells, weights=buf.ravel(), minlength=n * latency)
-        g_cum = g_cum.reshape(n, latency)
-        grad += g_cum[:, ::-1].cumsum(axis=1)[:, ::-1]
+        rise = t.take(cg.dst) - t.take(cg.src)
+        comm = float(cg.comm @ np.maximum(rise, 0).astype(np.float64)) * inv_c
+        adj = np.bincount(
+            cg.end_cell + t.take(cg.other_end), weights=cg.end_comm * inv_c,
+            minlength=n * latency,
+        ).reshape(n, latency)  # -R / C
+        adj[:, 0] += cg.out_comm * inv_c
+        grad += adj @ _stage_tables(latency)[2]
 
     cols = np.arange(latency)
     grad *= (cols >= lo[:, None]) & (cols <= cg.hi[:, None])
@@ -480,7 +467,6 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
     weights = init_params(cg, config, rng)
     state = AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
     wd = config.weight_decay if config.optimizer == "adamw" else 0.0
-    onehot = np.eye(config.L)
 
     best_obj = float("inf")
     best_stages: list[int] = []
@@ -496,9 +482,7 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
         stages = hard.tolist()
         if on_epoch is not None:
             on_epoch(epoch, stages)
-        total, l_spread, l_comm, grad = loss_and_grad(
-            cg, onehot[hard], y, lo, tau, config.lam
-        )
+        total, l_spread, l_comm, grad = loss_and_grad(cg, hard, y, lo, tau, config.lam)
         weights = adam_step(weights, grad, state, config.lr, weight_decay=wd)
 
         peak, comm, _ = score_block(g, cg, hard[None], config.L)

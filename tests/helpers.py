@@ -116,9 +116,10 @@ def training_loss(g: SchedGraph, stages, latency: int, lam: float = 1.0):
     schedule, given as a stage list in declaration order or a dict."""
     if isinstance(stages, dict):
         stages = [stages[n.id] for n in g.nodes]
-    hard = np.eye(latency)[list(stages)]
+    t = np.array(stages, dtype=np.intp)
     lo = np.zeros(g.n_nodes, dtype=np.intp)
-    total, spread, comm, _ = loss_and_grad(compile_graph(g, latency), hard, hard, lo, 1.0, lam)
+    total, spread, comm, _ = loss_and_grad(
+        compile_graph(g, latency), t, np.eye(latency)[t], lo, 1.0, lam)
     return total, spread, comm
 
 
@@ -128,26 +129,33 @@ def isolated_nodes(mems) -> SchedGraph:
 
 
 def relaxed_loss(cg, weights, noise, lo, tau: float, lam: float):
-    """``loss_and_grad`` at the relaxed schedule mask * softmax((w + noise) / tau),
+    """``reference_loss_and_grad`` at the relaxed schedule mask * softmax((w + noise) / tau),
     the mask being each node's window [lo, hi]."""
     cols = np.arange(weights.shape[1])
     mask = (cols >= lo[:, None]) & (cols <= cg.hi[:, None])
     z = (weights + noise) / tau
     e = np.exp(z - z.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
-    return loss_and_grad(cg, mask * y, y, lo, tau, lam)
+    return reference_loss_and_grad(cg, mask * y, y, lo, tau, lam)
 
 
 def reference_loss_and_grad(cg, s, y, lo, tau: float, lam: float):
-    """``loss_and_grad`` with the comm adjoint scattered edge by edge: an
-    ``np.add.at`` of every source's terms, then an ``np.subtract.at`` of
-    every destination's. The engine's single bincount must give these bits."""
+    """``engine.loss_and_grad`` for any |V| x L stage-probability matrix
+    ``s``: an edge crosses boundary i < L - 1 by cumsum(s_src)[i] * (1 -
+    cumsum(s_dst)[i]), and the comm adjoint is the reversed cumsum of those
+    factors, scattered edge by edge onto the endpoints by an ``np.add.at``
+    and an ``np.subtract.at``. At mask * y it is the exact gradient of the
+    relaxed loss; at the one-hot rows of the engine's stages the engine must
+    give the same loss bits and, within rounding, the same gradient."""
     n, latency = s.shape
     spread = 0.0
     if cg.total_mem > 0.0:
         inv_m = 1.0 / cg.total_mem
+        # each stage summed over the nodes in index order, as a bincount of
+        # the hard stages does
         q = np.bincount(
-            cg.cell_stage, weights=(cg.mem[:, None] * s).ravel(), minlength=latency
+            np.tile(np.arange(latency), n), weights=(cg.mem[:, None] * s).ravel(),
+            minlength=latency,
         ) * inv_m
         q_floor = np.maximum(q, 1e-30)
         log_q = np.log(q_floor)

@@ -1,12 +1,14 @@
 """The differentiable pieces of one training epoch, one at a time: the
 tempered softmax and the straight-through one-hot of ``engine.sample_stages``,
 and the per-stage memory sums, floored log and cumsum crossings whose
-adjoints ``engine.loss_and_grad`` forms in closed form.
+adjoints ``engine.loss_and_grad`` forms in closed form at the hard stages.
 
-Adjoints w.r.t. the stage-probability matrix ``s`` are read off the loss by
-central differences (the loss value does not depend on ``y``, ``lo`` or
-``tau``); the returned logit gradient must be that adjoint, masked to each
-node's window and pulled back through the softmax ``y``.
+Adjoints w.r.t. the stage-probability matrix ``s`` are read off the relaxed
+loss ``helpers.reference_loss_and_grad`` by central differences (the loss
+value does not depend on ``y``, ``lo`` or ``tau``); the returned logit
+gradient must be that adjoint, masked to each node's window and pulled back
+through the softmax ``y``. Relaxed ``s`` go to the reference, hard stages to
+the engine.
 """
 import math
 
@@ -15,7 +17,13 @@ import pytest
 
 from diffsched.engine import compile_graph, loss_and_grad, sample_stages
 from diffsched.graph import Edge, Node, SchedGraph, min_feasible_latency
-from helpers import FixedUniformRng, gradient_error, isolated_nodes, random_dag
+from helpers import (
+    FixedUniformRng,
+    gradient_error,
+    isolated_nodes,
+    random_dag,
+    reference_loss_and_grad,
+)
 
 
 def noise_rng(noise):
@@ -52,8 +60,8 @@ def s_adjoint(cg, s, lam, eps=1e-6):
         up, down = s.copy(), s.copy()
         up[idx] += eps
         down[idx] -= eps
-        adj[idx] = (loss_and_grad(cg, up, s, lo, 1.0, lam)[0]
-                    - loss_and_grad(cg, down, s, lo, 1.0, lam)[0]) / (2 * eps)
+        adj[idx] = (reference_loss_and_grad(cg, up, s, lo, 1.0, lam)[0]
+                    - reference_loss_and_grad(cg, down, s, lo, 1.0, lam)[0]) / (2 * eps)
     return adj
 
 
@@ -72,9 +80,9 @@ class TestLeaves:
         rng = np.random.default_rng(1)
         s, y = simplex_rows(rng, 3, 4), simplex_rows(rng, 3, 4)
         lo = np.zeros(3, dtype=np.intp)
-        got = loss_and_grad(compile_graph(both, 4), s, y, lo, 0.7, 1.0)
-        one = loss_and_grad(compile_graph(ab, 4), s, y, lo, 0.7, 1.0)
-        two = loss_and_grad(compile_graph(ac, 4), s, y, lo, 0.7, 1.0)
+        got = reference_loss_and_grad(compile_graph(both, 4), s, y, lo, 0.7, 1.0)
+        one = reference_loss_and_grad(compile_graph(ab, 4), s, y, lo, 0.7, 1.0)
+        two = reference_loss_and_grad(compile_graph(ac, 4), s, y, lo, 0.7, 1.0)
         # comm is normalized by the total edge cost: 2 against 1 and 1
         assert got[2] == pytest.approx((one[2] + two[2]) / 2, rel=1e-12)
         np.testing.assert_allclose(got[3], (one[3] + two[3]) / 2, rtol=1e-12, atol=1e-15)
@@ -89,9 +97,10 @@ class TestElementwise:
         s, y = simplex_rows(rng, 2, 3), simplex_rows(rng, 2, 3)
         lo = np.zeros(2, dtype=np.intp)
         with np.errstate(all="raise"):
-            no_mem = [loss_and_grad(compile_graph(chain(mem=0.0), 3), s, y, lo, 0.5, lam)
+            no_mem = [reference_loss_and_grad(compile_graph(chain(mem=0.0), 3), s, y, lo, 0.5, lam)
                       for lam in (0.0, 10.0)]
-            no_comm = loss_and_grad(compile_graph(chain(mem=1.0, comm=0.0), 3), s, y, lo, 0.5, 1.0)
+            no_comm = reference_loss_and_grad(
+                compile_graph(chain(mem=1.0, comm=0.0), 3), s, y, lo, 0.5, 1.0)
         for total, spread, comm, grad in no_mem:
             assert spread == 0.0 and total == comm > 0.0
             assert np.all(np.isfinite(grad))
@@ -110,7 +119,7 @@ class TestElementwise:
             want = lam * mems[:, None] / mems.sum() * (np.log(q) + 1.0)
             np.testing.assert_allclose(s_adjoint(cg, s, lam), want, rtol=1e-6, atol=1e-8)
             lo = np.zeros(4, dtype=np.intp)
-            grad = loss_and_grad(cg, s, y, lo, 0.8, lam)[3]
+            grad = reference_loss_and_grad(cg, s, y, lo, 0.8, lam)[3]
             np.testing.assert_allclose(grad, pullback(want, y, True, 0.8), rtol=1e-9, atol=1e-12)
 
     def test_log_floor_clamps_with_zero_adjoint(self):
@@ -118,10 +127,9 @@ class TestElementwise:
         passes no adjoint: there only the log(floor) factor remains."""
         mems = np.array([1.0, 2.0])
         cg = compile_graph(isolated_nodes(mems), 3)
-        hard = np.eye(3)[[0, 0]]
         y = simplex_rows(np.random.default_rng(4), 2, 3)
         lo = np.zeros(2, dtype=np.intp)
-        total, spread, _, grad = loss_and_grad(cg, hard, y, lo, 1.0, 2.0)
+        total, spread, _, grad = loss_and_grad(cg, np.array([0, 0]), y, lo, 1.0, 2.0)
         assert spread == math.log(3) and total == 2.0 * spread
         want = 2.0 * mems[:, None] / 3.0 * np.array([1.0, math.log(1e-30), math.log(1e-30)])
         np.testing.assert_allclose(grad, pullback(want, y, True, 1.0), rtol=1e-12)
@@ -133,11 +141,11 @@ class TestReductions:
         mems = np.array([1.0, 2.0, 3.0])
         cg = compile_graph(isolated_nodes(mems), 2)
         lo = np.zeros(3, dtype=np.intp)
-        hard = np.eye(2)[[0, 0, 1]]  # q = [1/2, 1/2]
-        assert abs(loss_and_grad(cg, hard, hard, lo, 1.0, 1.0)[1]) < 1e-15
+        hard = np.array([0, 0, 1])  # q = [1/2, 1/2]
+        assert abs(loss_and_grad(cg, hard, np.eye(2)[hard], lo, 1.0, 1.0)[1]) < 1e-15
         s = simplex_rows(np.random.default_rng(5), 3, 2)
         q = mems @ s / mems.sum()
-        spread = loss_and_grad(cg, s, s, lo, 1.0, 1.0)[1]
+        spread = reference_loss_and_grad(cg, s, s, lo, 1.0, 1.0)[1]
         assert spread == pytest.approx(math.log(2) + float(q @ np.log(q)), abs=1e-12)
 
 
@@ -148,9 +156,10 @@ class TestCumsum:
         lo = np.zeros(2, dtype=np.intp)
         for stages, crossed in (([1, 1], 0.0), ([0, 1], 1.0), ([0, 2], 2.0), ([1, 2], 1.0)):
             hard = np.eye(3)[stages]
-            assert loss_and_grad(cg, hard, hard, lo, 1.0, 1.0)[2] == crossed
+            assert loss_and_grad(cg, np.array(stages), hard, lo, 1.0, 1.0)[2] == crossed
+            assert reference_loss_and_grad(cg, hard, hard, lo, 1.0, 1.0)[2] == crossed
         soft = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-        assert loss_and_grad(cg, soft, soft, lo, 1.0, 1.0)[2] == 1.5
+        assert reference_loss_and_grad(cg, soft, soft, lo, 1.0, 1.0)[2] == 1.5
 
     def test_adjoint_is_reversed_cumsum(self):
         """Boundary i's crossing term cum_a[i] * (1 - cum_b[i]) sends the
@@ -165,7 +174,7 @@ class TestCumsum:
         want = np.stack([np.cumsum(after[::-1])[::-1], -np.cumsum(before[::-1])[::-1]])
         np.testing.assert_allclose(s_adjoint(cg, s, 0.0), want, rtol=1e-6, atol=1e-9)
         lo = np.zeros(2, dtype=np.intp)
-        grad = loss_and_grad(cg, s, y, lo, 0.6, 0.0)[3]
+        grad = reference_loss_and_grad(cg, s, y, lo, 0.6, 0.0)[3]
         np.testing.assert_allclose(grad, pullback(want, y, True, 0.6), rtol=1e-12, atol=1e-15)
 
     def test_finite_difference(self):
@@ -219,7 +228,7 @@ class TestSoftmax:
         np.testing.assert_allclose(shifted[1][0], expected)
         assert shifted[0].tolist() == moved[0].tolist()
         np.testing.assert_allclose(shifted[1], moved[1], rtol=1e-15)
-        hard = np.eye(2)[shifted[0]]
+        hard = shifted[0]
         np.testing.assert_allclose(loss_and_grad(cg, hard, shifted[1], shifted[2], 1.0, 1.0)[3],
                                    loss_and_grad(cg, hard, moved[1], moved[2], 1.0, 1.0)[3],
                                    rtol=1e-15)
@@ -247,7 +256,7 @@ class TestStraightThrough:
     def test_identity_adjoint(self):
         """At the hard one-hots the adjoint w.r.t. s passes through unchanged
         to the softmax: the gradient is that adjoint, masked and pulled back
-        through y."""
+        through y. The adjoint is read off the relaxed reference."""
         rng = np.random.default_rng(21)
         for _ in range(30):
             g = random_dag(rng, int(rng.integers(1, 7)), c_choices=(-1, 0, 1),
@@ -260,7 +269,7 @@ class TestStraightThrough:
             # the spread's log is not differentiable at an empty stage
             lam = 1.0 if np.all(cg.mem @ hard > 0) else 0.0
             want = pullback(s_adjoint(cg, hard, lam), y, window_mask(cg, lo, latency), tau)
-            grad = loss_and_grad(cg, hard, y, lo, tau, lam)[3]
+            grad = loss_and_grad(cg, stages, y, lo, tau, lam)[3]
             np.testing.assert_allclose(grad, want, rtol=1e-5, atol=1e-8)
 
     def test_rejects_non_finite(self):
@@ -283,7 +292,7 @@ class TestBackward:
         rng = np.random.default_rng(23)
         for _ in range(10):
             stages, y, lo = sample_stages(cg, rng.normal(size=(4, 3)), 0.7, rng)
-            grad = loss_and_grad(cg, np.eye(3)[stages], y, lo, 0.7, 1.0)[3]
+            grad = loss_and_grad(cg, stages, y, lo, 0.7, 1.0)[3]
             np.testing.assert_array_equal(grad[:3], np.zeros((3, 3)))
             assert np.all(grad[3] != 0.0)
 
@@ -293,9 +302,11 @@ class TestBackward:
             cg = compile_graph(g, 3)
             n = g.n_nodes
             s = np.full((n, 3), 1 / 3)
-            total, spread, comm, grad = loss_and_grad(cg, s, s, np.zeros(n, dtype=np.intp), 1.0, 10.0)
-            assert (total, spread, comm) == (0.0, 0.0, 0.0)
-            np.testing.assert_array_equal(grad, np.zeros((n, 3)))
+            lo = np.zeros(n, dtype=np.intp)
+            for out in (reference_loss_and_grad(cg, s, s, lo, 1.0, 10.0),
+                        loss_and_grad(cg, np.zeros(n, dtype=np.intp), s, lo, 1.0, 10.0)):
+                assert out[:3] == (0.0, 0.0, 0.0)
+                np.testing.assert_array_equal(out[3], np.zeros((n, 3)))
 
     def test_composite_expression_finite_difference(self):
         """lam * spread + comm through the softmax, against central
@@ -320,7 +331,7 @@ class TestBackward:
 
         def epoch():
             stages, y, lo = sample_stages(cg, weights, 0.5, np.random.default_rng(31))
-            return stages, y, lo, loss_and_grad(cg, np.eye(latency)[stages], y, lo, 0.5, 10.0)
+            return stages, y, lo, loss_and_grad(cg, stages, y, lo, 0.5, 10.0)
 
         (s1, y1, lo1, out1), (s2, y2, lo2, out2) = epoch(), epoch()
         assert s1.tolist() == s2.tolist() and np.array_equal(y1, y2) and np.array_equal(lo1, lo2)

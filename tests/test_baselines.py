@@ -253,13 +253,13 @@ class TestExportIlp:
         model, text = export_ilp(chain_ab(), 2, 10.0)
         binaries = [v for v, k in model.variables.items() if k == "binary"]
         assert sorted(b for b in binaries if b.startswith("s_")) == [
-            "s_a_0", "s_a_1", "s_b_0", "s_b_1",
+            "s_0_0", "s_0_1", "s_1_0", "s_1_1",
         ]
         assert [b for b in binaries if b.startswith("y_")] == ["y_0_0"]
         names = [c.name for c in model.constraints]
         assert names.count("dep_0") == 1
         assert {"mem_0", "mem_1"} <= set(names)
-        assert text.startswith("Minimize")
+        assert text.startswith('\\ node 0: "a"\n\\ node 1: "b"\nMinimize\n')
         for section in ("Subject To", "Bounds", "Binary", "End"):
             assert section in text
 
@@ -274,6 +274,25 @@ class TestExportIlp:
                        edges=[Edge("a", "b", comm=2.5)])
         _, text = export_ilp(g, 2, 1e6)
         assert "e-" not in text and "e+" not in text and "E" not in text.replace("End", "")
+
+    def test_names_are_valid_for_any_id(self):
+        """Ids with spaces or colons give LP names without them, a comment
+        maps each index back to its id, and the schedule's own assignment is
+        still feasible at its objective."""
+        g = SchedGraph(nodes=[Node(id="a b", mem=2.0), Node(id="c:d"), Node(id="e\\f")],
+                       edges=[Edge("a b", "c:d", comm=2.0), Edge("a b", "e\\f", sdc_c=-1)])
+        stages, obj = brute_force(g, 3, 10.0)
+        model, text = export_ilp(g, 3, 10.0)
+        names = list(model.variables) + [c.name for c in model.constraints]
+        assert not any(" " in name or ":" in name for name in names)
+        assert text.splitlines()[:3] == ['\\ node 0: "a b"', '\\ node 1: "c:d"',
+                                         '\\ node 2: "e\\\\f"']
+        body = text.split("Subject To\n")[1].split("Bounds\n")[0]
+        assert all(row.split(": ")[0].strip() in names for row in body.splitlines())
+        feasible, violated, ilp_obj = check_ilp_assignment(
+            model, ilp_assignment_from_schedule(g, 3, stages))
+        assert feasible, violated
+        assert abs(ilp_obj - obj) <= 1e-9
 
     def test_undeclared_variable_guard(self):
         model, _ = export_ilp(chain_ab(), 2, 10.0)
@@ -298,9 +317,9 @@ class TestCheckIlpAssignment:
     def test_selection_violation_named(self):
         model, _ = export_ilp(chain_ab(), 2, 10.0)
         assignment = ilp_assignment_from_schedule(chain_ab(), 2, {"a": 0, "b": 1})
-        assignment["s_a_0"] = 0.0  # node a now selects no stage
+        assignment["s_0_0"] = 0.0  # node a now selects no stage
         feasible, violated, _ = check_ilp_assignment(model, assignment)
-        assert not feasible and "sel_a" in violated
+        assert not feasible and "sel_0" in violated
 
     def test_all_zeros_infeasible(self):
         model, _ = export_ilp(chain_ab(), 2, 10.0)

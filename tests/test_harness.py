@@ -183,7 +183,9 @@ class TestExportIlp:
         out = tmp_path / "model.lp"
         assert main(["export-ilp", "-g", graph, "-L", "2", "--out", str(out)]) == 0
         text = out.read_text()
-        assert text.startswith("Minimize") and text.rstrip().endswith("End")
+        lines = text.splitlines()
+        assert all(line.startswith("\\ node ") for line in lines[:2])
+        assert lines[2] == "Minimize" and lines[-1] == "End"
 
     def test_out_is_a_directory(self, tmp_path, capsys):
         graph = write_chain(tmp_path)

@@ -1,5 +1,6 @@
-"""The training loss of a hard schedule (``engine.loss_and_grad``) and the
-exact discrete evaluator."""
+"""The training loss of a hard schedule (``engine.loss_and_grad``), its
+relaxed form (``helpers.reference_loss_and_grad``) and the exact discrete
+evaluator."""
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from helpers import (
     random_dag,
     random_legal_schedule,
     reference_discrete_metrics,
+    reference_loss_and_grad,
     training_loss,
 )
 
@@ -50,9 +52,11 @@ class TestEntropyLoss:
         # spread gradient, on hard and soft rows alike.
         cg = compile_graph(isolated_nodes([0.0, 0.0]), 3)
         y = np.array([[0.2, 0.5, 0.3], [0.6, 0.3, 0.1]])
-        total, spread, comm, grad = loss_and_grad(cg, y, y, np.zeros(2, dtype=np.intp), 0.5, 10.0)
-        assert (total, spread, comm) == (0.0, 0.0, 0.0)
-        assert not grad.any()
+        lo = np.zeros(2, dtype=np.intp)
+        for out in (reference_loss_and_grad(cg, y, y, lo, 0.5, 10.0),
+                    loss_and_grad(cg, np.array([1, 0]), y, lo, 0.5, 10.0)):
+            assert out[:3] == (0.0, 0.0, 0.0)
+            assert not out[3].any()
 
     def test_bounds_fuzz(self):
         rng = np.random.default_rng(1)
