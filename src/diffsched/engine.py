@@ -26,10 +26,15 @@ whole-matrix work on the |V| x L logit matrix:
   objective) as a one-row block of ``score_block``, the one scorer of hard
   schedules, which ``losses`` and ``baselines.brute_force`` call too.
 
-The |V| x L temporaries (the Gumbel transform, the softmax, the windowed
-logits, the gradient's pull-back and Adam's moments and step) are written in
-place in the operation order of the textbook formulas, so an epoch
-allocates few large arrays and every result keeps its bits. The sampler
+A run owns six |V| x L arrays: the logits, Adam's moments and the three
+``EpochBuffers``, which the epoch's temporaries share in turn (the Gumbel
+draw, then the gradient; the softmax, then Adam's step; the windowed logits,
+then the comm product, the window mask and Adam's denominator). They are
+written in the operation order of the textbook formulas, so an epoch
+allocates no |V| x L array but the comm adjoint's bincount, and every result
+keeps its bits. ``sample_stages``, ``loss_and_grad`` and ``adam_step`` take
+the buffers as an optional argument; called without them they allocate new
+arrays and leave their inputs alone, so calls may overlap. The sampler
 returns the stages as an intp array, which ``run`` passes to
 ``loss_and_grad`` and turns into a list once per epoch. The relaxed loss of
 any stage-probability matrix, whose gradient the tests check against
@@ -49,6 +54,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,19 +150,25 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
     weight_decay: float = 0.0,
+    buffers: EpochBuffers | None = None,
 ) -> np.ndarray:
     """One Adam step with bias correction; nonzero weight_decay applies the
-    decoupled (AdamW) decay before the Adam delta. Returns the new weights;
-    ``state.m`` and ``state.v`` are updated in place.
+    decoupled (AdamW) decay before the Adam delta. ``state.m`` and
+    ``state.v`` are updated in place. Returns new weights, or, given
+    ``buffers``, ``weights`` itself, updated in place, with the step's
+    temporaries in ``buffers.work`` and ``buffers.soft``.
 
     Computes weights - lr * m_hat / (sqrt(v_hat) + eps) with the textbook
     operation order, so each element has the bits of the out-of-place form.
     """
-    if weight_decay:
-        weights = weights * (1.0 - lr * weight_decay)
+    if buffers is None:
+        buf, step = np.empty_like(weights), np.empty_like(weights)
+        out = step
+    else:
+        buf, step, out = buffers.work, buffers.soft, weights
     state.t += 1
     m, v = state.m, state.v
-    buf = np.multiply(grad, 1.0 - beta1)
+    np.multiply(grad, 1.0 - beta1, out=buf)
     m *= beta1
     m += buf
     np.multiply(grad, 1.0 - beta2, out=buf)
@@ -166,104 +178,169 @@ def adam_step(
     np.divide(v, 1.0 - beta2 ** state.t, out=buf)  # v_hat
     np.sqrt(buf, out=buf)
     buf += eps
-    step = np.divide(m, 1.0 - beta1 ** state.t)  # m_hat
+    np.divide(m, 1.0 - beta1 ** state.t, out=step)  # m_hat
     step *= lr
     step /= buf
-    return np.subtract(weights, step, out=step)
+    if weight_decay:
+        weights = np.multiply(weights, 1.0 - lr * weight_decay, out=buf)
+    return np.subtract(weights, step, out=out)
 
 
 @dataclass(frozen=True)
-class CompiledGraph:
+class EpochBuffers:
+    """The |V| x L arrays an epoch writes, besides the logits and Adam's
+    moments: ``run`` makes one set and passes it to every epoch's
+    ``sample_stages``, ``loss_and_grad`` and ``adam_step``, so an epoch
+    allocates no |V| x L array but the comm adjoint's bincount. Each buffer
+    holds in turn values whose lifetimes do not overlap:
+
+    - ``noise``: log(-log U) of the Gumbel draw, then the gradient;
+    - ``soft``: the tempered softmax y, then Adam's step;
+    - ``work``: z = (logits + noise) / tau and its capped form, then the
+      comm adjoint's product with the crossings table, then the window
+      mask, then Adam's denominator and the decayed weights.
+    """
+
+    noise: np.ndarray
+    soft: np.ndarray
+    work: np.ndarray
+
+    @classmethod
+    def like(cls, weights: np.ndarray) -> EpochBuffers:
+        return cls(*(np.empty_like(weights) for _ in range(3)))
+
+
+@dataclass(frozen=True)
+class ScoreArrays:
+    """What ``score_block`` reads of a graph at one latency: the memory
+    vector, and the endpoints, clamped sdc constants and costs of every
+    edge, in edge order; nodes by declaration index."""
+
+    mem: np.ndarray
+    e_src: np.ndarray
+    e_dst: np.ndarray
+    e_c: np.ndarray
+    e_comm: np.ndarray
+
+
+def score_arrays(g: SchedGraph, latency: int) -> ScoreArrays:
+    """Stage differences lie in [-(L-1), L-1], so clamping the constants to
+    [-L, L] keeps the legal set and fits any input into intp."""
+    index = g.node_index
+    return ScoreArrays(
+        mem=np.array([n.mem for n in g.nodes], dtype=np.float64),
+        e_src=np.array([index(e.src) for e in g.edges], dtype=np.intp),
+        e_dst=np.array([index(e.dst) for e in g.edges], dtype=np.intp),
+        e_c=np.array([e.sdc_c for e in g.edges], dtype=np.float64)
+        .clip(-latency, latency).astype(np.intp),
+        e_comm=np.array([e.comm for e in g.edges], dtype=np.float64),
+    )
+
+
+@dataclass(frozen=True)
+class CompiledGraph(ScoreArrays):
     """Array form of a graph at one latency; nodes by declaration index."""
 
     order: np.ndarray  # topological order
     l_min: int  # minimum feasible latency
     hi: np.ndarray  # ALAP cap per node
-    mem: np.ndarray
+    capped: np.ndarray  # the nodes whose cap is below the last stage
     total_mem: float
-    e_src: np.ndarray  # endpoints, sdc constants and costs of every edge, in edge order
-    e_dst: np.ndarray
-    e_c: np.ndarray
-    e_comm: np.ndarray
     src: np.ndarray  # endpoints and costs of the comm != 0 edges
     dst: np.ndarray
     comm: np.ndarray
     total_comm: float
-    out_comm: np.ndarray  # cost of the comm != 0 edges leaving each node
-    # The comm adjoint's bincount, see loss_and_grad: the first cell v * L of
-    # each comm != 0 edge's source row, then of its destination row; the
-    # node at the other end; and the negated costs, both halves.
+    # The comm adjoint, see loss_and_grad: the cost of the comm != 0 edges
+    # leaving each node over C; and for its bincount, the first cell v * L of
+    # each comm != 0 edge's source row, then of its destination row, the node
+    # at the other end, and the negated costs over C, both halves.
+    out_comm: np.ndarray
     end_cell: np.ndarray
     other_end: np.ndarray
     end_comm: np.ndarray
 
 
+class StageTables(NamedTuple):
+    """Tables at one latency L, read-only, since every graph at this latency
+    shares them. ``sample_stages`` adds rows of cap and floor to z to leave
+    each node's window; ``loss_and_grad`` multiplies the gradient by rows
+    of above and below to mask it to the window."""
+
+    cap: np.ndarray  # row k: -inf past stage k, 0 elsewhere
+    floor: np.ndarray  # row k: -inf before stage k, 0 elsewhere
+    # [k, j] = max(0, L - 1 - max(j, k)), the boundaries i <= L - 2 at or
+    # past both j and k, see loss_and_grad
+    crossings: np.ndarray
+    above: np.ndarray  # row k <= L: 1 at the stages >= k, 0 elsewhere
+    below: np.ndarray  # row k <= L: 1 at the stages < k, 0 elsewhere
+
+
 @lru_cache(maxsize=16)
-def _stage_tables(latency: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cap, floor, crossings) at one latency, read-only, since every graph
-    at this latency shares them. Row k of cap (floor) is -inf past stage k
-    (before it) and 0 elsewhere; ``sample_stages`` adds rows of them to
-    leave each node's window. crossings[k, j] = max(0, L - 1 - max(j, k))
-    counts the boundaries i <= L - 2 at or past both j and k, see
-    ``loss_and_grad``."""
+def _stage_tables(latency: int) -> StageTables:
     stage = np.arange(latency)
-    tables = (np.where(stage > stage[:, None], -np.inf, 0.0),
-              np.where(stage < stage[:, None], -np.inf, 0.0),
-              (latency - 1.0 - np.maximum(stage, stage[:, None])).clip(0.0))
+    tables = StageTables(
+        cap=np.where(stage > stage[:, None], -np.inf, 0.0),
+        floor=np.where(stage < stage[:, None], -np.inf, 0.0),
+        crossings=(latency - 1.0 - np.maximum(stage, stage[:, None])).clip(0.0),
+        above=(stage >= np.arange(latency + 1)[:, None]).astype(np.float64),
+        below=(stage < np.arange(latency + 1)[:, None]).astype(np.float64),
+    )
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
 def compile_graph(g: SchedGraph, latency: int) -> CompiledGraph:
-    """Stage differences lie in [-(L-1), L-1], so clamping the constants to
-    [-L, L] and the caps (below 0 only if L < L_min) to -1 keeps the legal
-    set and fits any input into intp."""
+    """Clamping the caps (below 0 only if L < L_min) to -1 keeps the legal
+    set and fits any input into intp, as ``score_arrays`` does for the
+    constants."""
     order, earliest, hi = stage_bounds(g, latency)
-    index = g.node_index
-    e_src = np.array([index(e.src) for e in g.edges], dtype=np.intp)
-    e_dst = np.array([index(e.dst) for e in g.edges], dtype=np.intp)
-    comm = np.array([e.comm for e in g.edges], dtype=np.float64)
-    live = comm != 0.0
-    src, dst, live_comm = e_src[live], e_dst[live], comm[live]
+    base = score_arrays(g, latency)
+    live = base.e_comm != 0.0
+    src, dst, live_comm = base.e_src[live], base.e_dst[live], base.e_comm[live]
+    hi = np.array(hi, dtype=np.float64).clip(-1, None).astype(np.intp)
+    total_comm = float(sum(e.comm for e in g.edges))
+    inv_c = 1.0 / total_comm if total_comm > 0.0 else 0.0
     return CompiledGraph(
+        **vars(base),
         order=np.array(order, dtype=np.intp),
         l_min=1 + max(earliest, default=0),
-        hi=np.array(hi, dtype=np.float64).clip(-1, None).astype(np.intp),
-        mem=np.array([n.mem for n in g.nodes], dtype=np.float64),
+        hi=hi,
+        capped=np.flatnonzero(hi < latency - 1),
         total_mem=float(sum(n.mem for n in g.nodes)),
-        e_src=e_src,
-        e_dst=e_dst,
-        e_c=np.array([e.sdc_c for e in g.edges], dtype=np.float64)
-        .clip(-latency, latency).astype(np.intp),
-        e_comm=comm,
         src=src,
         dst=dst,
         comm=live_comm,
-        total_comm=float(sum(e.comm for e in g.edges)),
-        out_comm=np.bincount(src, weights=live_comm, minlength=g.n_nodes),
+        total_comm=total_comm,
+        out_comm=np.bincount(src, weights=live_comm, minlength=g.n_nodes) * inv_c,
         end_cell=np.concatenate([src, dst]) * latency,
         other_end=np.concatenate([dst, src]),
-        end_comm=-np.concatenate([live_comm, live_comm]),
+        end_comm=-np.concatenate([live_comm, live_comm]) * inv_c,
     )
+
+
+def _log_neg_log_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """log(-log U) of uniform draws U that fill ``out`` in row-major
+    order, i.e. minus i.i.d. standard Gumbel(0,1) draws; returns ``out``."""
+    rng.random(out=out)
+    np.clip(out, _U_CLAMP, 1.0 - _U_CLAMP, out=out)
+    np.log(out, out=out)
+    np.negative(out, out=out)
+    return np.log(out, out=out)
 
 
 def gumbel_noise(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """i.i.d. standard Gumbel(0,1) draws via -log(-log(U)) of the given shape.
 
     One (V, L) draw consumes the stream exactly as V draws of length L do,
-    row by row.
+    row by row, and as ``sample_stages`` does.
     """
-    u = rng.uniform(size=size)
-    np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP, out=u)
-    np.log(u, out=u)
-    np.negative(u, out=u)
-    np.log(u, out=u)
-    return np.negative(u, out=u)
+    return np.negative(_log_neg_log_uniform(rng, np.empty(size)))
 
 
 def sample_stages(
-    cg: CompiledGraph, weights: np.ndarray, tau: float, rng: np.random.Generator
+    cg: CompiledGraph, weights: np.ndarray, tau: float, rng: np.random.Generator,
+    buffers: EpochBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one legal hard schedule; returns (stages, y, lo), stages as an
     intp array by declaration index.
@@ -271,7 +348,9 @@ def sample_stages(
     Each node's stage is the argmax (first on ties) of (logits + noise) / tau
     over its window ``[lo, hi]``: ``lo`` is the lowest stage its parents'
     stages allow, ``hi`` its ALAP cap. ``y`` is the row-wise tempered softmax
-    of logits plus noise, kept for the gradient only.
+    of logits plus noise, kept for the gradient only. Given ``buffers``, the
+    noise and z are written into them and ``y`` is ``buffers.soft``;
+    otherwise every array is new.
 
     The stages are the fixed point of whole-graph sweeps: the first places
     every node over ``[0, hi]``; each later one recomputes ``lo`` over all
@@ -287,23 +366,33 @@ def sample_stages(
     n, latency = weights.shape
     if n != len(cg.order):
         raise ValueError("weight matrix row count does not match node count")
-    # z = (logits + noise) / tau, written over the noise block
-    z = np.empty_like(weights)
-    z[cg.order] = gumbel_noise(rng, (n, latency))
-    z += weights
+    if buffers is None:
+        buffers = EpochBuffers.like(weights)
+    # z = (logits + noise) / tau, the noise's rows in topological order;
+    # logits - log(-log U) has the bits of logits + -log(-log U)
+    z, y = buffers.work, buffers.soft
+    z[cg.order] = _log_neg_log_uniform(rng, buffers.noise)
+    np.subtract(weights, z, out=z)
     z /= tau
-    y = np.subtract(z, z.max(axis=1, keepdims=True))
+    # The row maximum column by column: a maximum is exact in any order, and
+    # L column calls beat one row-wise reduction of V rows of L.
+    peak = z.max(axis=1) if latency < 2 else np.maximum(z[:, 0], z[:, 1])
+    for j in range(2, latency):
+        np.maximum(peak, z[:, j], out=peak)
+    np.subtract(z, peak[:, None], out=y)
     np.exp(y, out=y)
     row_sum = y.sum(axis=1, keepdims=True)  # finite iff the row of y is
     y /= row_sum
 
-    # cap[k] is -inf past stage k and floor[k] before it, so rows hi and lo
-    # added to z leave the window. Clipping keeps a cap below 0 or a floor
-    # past the last stage in range; such a window is empty, and its node
-    # fails below.
-    cap, floor, _ = _stage_tables(latency)
+    # Row k of cap is -inf past stage k and of floor before it, so rows hi
+    # and lo added to z leave the window; a node without a cap below the
+    # last stage needs no row. Clipping keeps a cap below 0 or a floor past
+    # the last stage in range; such a window is empty, and its node fails
+    # below.
+    tables = _stage_tables(latency)
     capped = z
-    capped += cap.take(cg.hi, axis=0, mode="clip")
+    if cg.capped.size:
+        capped[cg.capped] += tables.cap.take(cg.hi.take(cg.capped), axis=0, mode="clip")
     stages = capped.argmax(axis=1)
     while True:
         lo = np.zeros(n, dtype=np.intp)
@@ -313,7 +402,7 @@ def sample_stages(
             break
         low = lo[moved]
         window = capped[moved]
-        window += floor.take(low, axis=0, mode="clip")
+        window += tables.floor.take(low, axis=0, mode="clip")
         # An empty window leaves the node at lo, so that stages still rise
         # and the sweeps settle; the error is raised once they have.
         stages[moved] = np.maximum(window.argmax(axis=1), low)
@@ -355,6 +444,7 @@ def loss_and_grad(
     lo: np.ndarray,
     tau: float,
     lam: float,
+    buffers: EpochBuffers | None = None,
 ) -> tuple[float, float, float, np.ndarray]:
     """Training loss lam * spread + comm of the hard stages ``t`` (intp, by
     declaration index) and its straight-through gradient w.r.t. the logits.
@@ -373,9 +463,16 @@ def loss_and_grad(
     So the adjoint is (W_out x e_0 - R) @ B / C, W_out being each node's
     outgoing cost and R[v, k] the cost of the edges from or into v whose
     other end is at stage k. It is masked to each node's window [lo, hi] and
-    pulled back through the tempered softmax ``y``.
+    pulled back through the tempered softmax ``y``. Given ``buffers``, the
+    gradient is ``buffers.noise`` and ``buffers.work`` its scratch, so ``y``
+    may be ``buffers.soft`` but neither of those; otherwise it is new.
     """
     n, latency = y.shape
+    if buffers is None:
+        grad, work = np.empty_like(y), np.empty_like(y)
+    else:
+        grad, work = buffers.noise, buffers.work
+    tables = _stage_tables(latency)
 
     spread = 0.0
     if cg.total_mem > 0.0:
@@ -385,24 +482,28 @@ def loss_and_grad(
         log_q = np.log(q_floor)
         spread = float((q * log_q).sum()) + math.log(latency)
         dq = lam * log_q + (lam * q) / q_floor * (q >= _LOG_FLOOR)
-        grad = cg.mem[:, None] * (dq * inv_m)
+        np.multiply(cg.mem[:, None], dq * inv_m, out=grad)
     else:
-        grad = np.zeros((n, latency))
+        grad.fill(0.0)
 
     comm = 0.0
     if cg.total_comm > 0.0:
         inv_c = 1.0 / cg.total_comm
         rise = t.take(cg.dst) - t.take(cg.src)
         comm = float(cg.comm @ np.maximum(rise, 0).astype(np.float64)) * inv_c
-        adj = np.bincount(
-            cg.end_cell + t.take(cg.other_end), weights=cg.end_comm * inv_c,
-            minlength=n * latency,
-        ).reshape(n, latency)  # -R / C
-        adj[:, 0] += cg.out_comm * inv_c
-        grad += adj @ _stage_tables(latency)[2]
+        cells = t.take(cg.other_end)
+        cells += cg.end_cell
+        adj = np.bincount(cells, weights=cg.end_comm, minlength=n * latency)
+        adj = adj.reshape(n, latency)  # -R / C
+        adj[:, 0] += cg.out_comm
+        grad += np.matmul(adj, tables.crossings, out=work)
 
-    cols = np.arange(latency)
-    grad *= (cols >= lo[:, None]) & (cols <= cg.hi[:, None])
+    # The window mask as 0/1 rows: 1 at the stages >= lo, and at the stages
+    # <= hi for the nodes capped below the last stage. A product of 0/1
+    # factors has the bits of a product by the boolean mask.
+    grad *= tables.above.take(lo, axis=0, mode="clip", out=work)
+    if cg.capped.size:
+        grad[cg.capped] *= tables.below.take(cg.hi.take(cg.capped) + 1, axis=0)
     inner = grad[:, None, :] @ y[:, :, None]  # row-wise <grad, y>, as 1-D dots
     grad -= inner[:, 0]
     grad *= y
@@ -411,7 +512,7 @@ def loss_and_grad(
 
 
 def score_block(
-    g: SchedGraph, cg: CompiledGraph, stages: np.ndarray, latency: int
+    g: SchedGraph, cg: ScoreArrays, stages: np.ndarray, latency: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(peak_mem, comm_total, boundary_comm) of each row of an (M, V) block
     of stage vectors by declaration index; ValueError for the first illegal
@@ -466,6 +567,7 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
     rng = np.random.default_rng(config.seed)
     weights = init_params(cg, config, rng)
     state = AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
+    buffers = EpochBuffers.like(weights)
     wd = config.weight_decay if config.optimizer == "adamw" else 0.0
 
     best_obj = float("inf")
@@ -478,12 +580,13 @@ def run(g: SchedGraph, config: RunConfig, on_epoch=None) -> RunResult:
             if (time.monotonic() - t0) * 1000.0 > config.timeout_ms:
                 break
         tau = tau_schedule(epoch, config.epochs, config.tau_start, config.tau_end)
-        hard, y, lo = sample_stages(cg, weights, tau, rng)
+        hard, y, lo = sample_stages(cg, weights, tau, rng, buffers=buffers)
         stages = hard.tolist()
         if on_epoch is not None:
             on_epoch(epoch, stages)
-        total, l_spread, l_comm, grad = loss_and_grad(cg, hard, y, lo, tau, config.lam)
-        weights = adam_step(weights, grad, state, config.lr, weight_decay=wd)
+        total, l_spread, l_comm, grad = loss_and_grad(
+            cg, hard, y, lo, tau, config.lam, buffers=buffers)
+        weights = adam_step(weights, grad, state, config.lr, weight_decay=wd, buffers=buffers)
 
         peak, comm, _ = score_block(g, cg, hard[None], config.L)
         peak_mem, comm_total = float(peak[0]), float(comm[0])

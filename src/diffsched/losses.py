@@ -2,8 +2,9 @@
 
 ``discrete_metrics`` reports a legal schedule's peak stage memory,
 per-boundary communication and LP objective, scored as a one-row block of
-``engine.score_block``; ``normalized_progress`` turns a run's objectives
-into its running best relative to the first. The training loss and its
+``engine.score_block`` on only the arrays it reads (``engine.score_arrays``:
+no topological pass, no ALAP caps); ``normalized_progress`` turns a run's
+objectives into its running best relative to the first. The training loss and its
 gradient live in ``engine.loss_and_grad``.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import compile_graph, score_block
+from .engine import score_arrays, score_block
 from .graph import SchedGraph
 
 
@@ -34,7 +35,7 @@ def discrete_metrics(
     if isinstance(stages, dict):
         stages = [stages[n.id] for n in g.nodes]
     block = np.array(stages, dtype=np.intp).reshape(1, g.n_nodes)
-    peak, comm, boundary = score_block(g, compile_graph(g, max(latency, 0)), block, latency)
+    peak, comm, boundary = score_block(g, score_arrays(g, max(latency, 0)), block, latency)
     peak_mem, comm_total = float(peak[0]), float(comm[0])
     return DiscreteMetrics(
         peak_mem=peak_mem,

@@ -7,7 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from diffsched.engine import compile_graph, loss_and_grad
+from diffsched.engine import (
+    AdamState,
+    adam_step,
+    compile_graph,
+    init_params,
+    loss_and_grad,
+    sample_stages,
+    tau_schedule,
+)
 from diffsched.graph import (
     Edge,
     Node,
@@ -40,14 +48,15 @@ BAD_VALUE_GRAPHS = [
 
 
 class FixedUniformRng:
-    """Stub exposing .uniform that returns preset values."""
+    """Stub whose .random(out=) fills ``out`` with preset values."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def uniform(self, size=None):
-        assert size == self.values.shape or size == len(self.values)
-        return self.values.copy()
+    def random(self, out):
+        assert out.shape == self.values.shape
+        out[...] = self.values
+        return out
 
 
 def random_dag(
@@ -185,6 +194,35 @@ def reference_loss_and_grad(cg, s, y, lo, tau: float, lam: float):
     inner = grad[:, None, :] @ y[:, :, None]
     grad = (grad - inner[:, 0]) * y / tau
     return spread * lam + comm, spread, comm, grad
+
+
+def unbuffered_run(g: SchedGraph, config, cg):
+    """``engine.run``'s epoch loop on the compiled graph ``cg``, calling the
+    public ``sample_stages``, ``loss_and_grad`` and ``adam_step`` without
+    buffers and scoring each schedule with ``reference_discrete_metrics``.
+    Returns (each epoch's stage list, then either the float hex of each
+    trajectory row but wall_ms, the best schedule and objective, or the
+    error's type and message)."""
+    rng = np.random.default_rng(config.seed)
+    weights = init_params(cg, config, rng)
+    state = AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
+    wd = config.weight_decay if config.optimizer == "adamw" else 0.0
+    seen, rows, best, best_obj = [], [], [], float("inf")
+    for epoch in range(config.epochs):
+        tau = tau_schedule(epoch, config.epochs, config.tau_start, config.tau_end)
+        try:
+            t, y, lo = sample_stages(cg, weights, tau, rng)
+        except ValueError as exc:
+            return seen, (type(exc), str(exc))
+        seen.append(t.tolist())
+        losses = loss_and_grad(cg, t, y, lo, tau, config.lam)
+        weights = adam_step(weights, losses[3], state, config.lr, weight_decay=wd)
+        m = reference_discrete_metrics(g, seen[-1], config.L, config.ratio)
+        if m.lp_objective < best_obj:
+            best_obj, best = m.lp_objective, seen[-1]
+        rows.append([epoch] + [x.hex() for x in (
+            *losses[:3], m.peak_mem, m.comm_total, m.lp_objective, best_obj)])
+    return seen, (rows, {n.id: s for n, s in zip(g.nodes, best)}, best_obj.hex())
 
 
 def gradient_error(cg, weights, noise, lo, tau: float, lam: float, eps: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from diffsched.graph import (
     min_feasible_latency,
     save_graph,
 )
+from diffsched.generator import GenSpec, gen_random_workload
 from diffsched.harness import main
 from helpers import (
     gradient_error,
@@ -39,6 +41,7 @@ from helpers import (
     reference_discrete_metrics,
     reference_loss_and_grad,
     relaxed_loss,
+    unbuffered_run,
 )
 
 
@@ -214,8 +217,8 @@ class TestRun:
                     x.hex() for x in (m.peak_mem, m.comm_total, m.lp_objective)]
 
     def test_illegal_schedule_rejected(self, monkeypatch):
-        def backwards(cg, weights, tau, rng):
-            _, y, lo = sample_stages(cg, weights, tau, rng)
+        def backwards(cg, weights, tau, rng, buffers=None):
+            _, y, lo = sample_stages(cg, weights, tau, rng, buffers=buffers)
             return np.array([1, 0]), y, lo
 
         monkeypatch.setattr(engine, "sample_stages", backwards)
@@ -441,9 +444,99 @@ class TestLossAndGrad:
             return out
 
         fast = runs()
-        monkeypatch.setattr(engine, "loss_and_grad", lambda cg, t, y, lo, tau, lam:
+        monkeypatch.setattr(engine, "loss_and_grad", lambda cg, t, y, lo, tau, lam, buffers=None:
                             reference_loss_and_grad(cg, np.eye(y.shape[1])[t], y, lo, tau, lam))
         assert fast == runs()
+
+
+class TestEpochBuffers:
+    """``run`` keeps its epoch's |V| x L arrays in one set of buffers; the
+    public epoch functions called without buffers allocate new arrays."""
+
+    def test_run_matches_unbuffered_loop(self, monkeypatch):
+        """Whole runs and the public functions' loop without buffers give the
+        same stages, trajectories and best schedule bit for bit, and fail at
+        the same epoch with the same error: a run without ALAP caps can meet
+        an empty window, and one with a huge learning rate a non-finite row."""
+        rng = np.random.default_rng(15)
+        seen = []
+        for i in range(130):
+            g = random_dag(rng, int(rng.integers(1, 10)), edge_prob=0.5,
+                           c_choices=(-2, -1, 0, 1),
+                           comm_choices=(0.0,) if i % 7 == 3 else (0.0, 0.5, 1.0, 2.5),
+                           mem_choices=(0.0,) if i % 5 == 0 else (0.5, 1.0, 3.0))
+            latency = min_feasible_latency(g) + i % 3
+            cg = compile_graph(g, latency)
+            config = RunConfig(L=latency, epochs=30, seed=int(rng.integers(1 << 30)),
+                               optimizer=("adam", "adamw")[i % 2])
+            if i >= 100 and i % 2:
+                cg = replace(cg, hi=np.full(g.n_nodes, latency - 1), capped=cg.capped[:0])
+            elif i >= 100:
+                config = replace(config, lr=1e308)
+            monkeypatch.setattr(engine, "compile_graph", lambda g, latency: cg)
+            stages = []
+            with np.errstate(all="ignore"):
+                want = unbuffered_run(g, config, cg)
+                try:
+                    result = run(g, config, on_epoch=lambda _, s: stages.append(s))
+                except ValueError as exc:
+                    got = stages, (type(exc), str(exc))
+                else:
+                    got = stages, ([[p.epoch] + [x.hex() for x in (
+                        p.loss_total, p.loss_entropy, p.loss_comm, p.peak_mem, p.comm_total,
+                        p.lp_objective, p.best_so_far)] for p in result.trajectory],
+                        result.best_schedule, result.best_objective.hex())
+            assert got == want
+            failed = want[1][0] if isinstance(want[1][0], type) else None  # else rows
+            seen.append({
+                "adam": config.optimizer == "adam", "adamw": config.optimizer == "adamw",
+                "no memory": cg.total_mem == 0.0, "no comm": cg.total_comm == 0.0,
+                **{f"L_min + {k}": latency == cg.l_min + k for k in range(3)},
+                **{f"c = {c}": any(e.sdc_c == c for e in g.edges) for c in range(-2, 2)},
+                "empty window later": failed is InfeasibleError and len(want[0]) > 0,
+                "non-finite row later": failed is ValueError and len(want[0]) > 0,
+            })
+        assert all(any(row[k] for row in seen) for k in seen[0]), seen
+
+    def test_unbuffered_calls_return_new_arrays(self):
+        rng = np.random.default_rng(16)
+        g = random_dag(rng, 6, c_choices=(-1, 0))
+        cg = compile_graph(g, 4)
+        weights = init_params(cg, RunConfig(L=4), rng)
+        before = weights.copy()
+        t1, y1, lo1 = sample_stages(cg, weights, 0.5, rng)
+        t2, y2, _ = sample_stages(cg, weights, 0.5, rng)
+        assert not np.shares_memory(y1, y2)
+        grad = engine.loss_and_grad(cg, t1, y1, lo1, 0.5, 1.0)[3]
+        state = AdamState(m=np.zeros_like(weights), v=np.zeros_like(weights))
+        new = adam_step(weights, grad, state, 0.1, weight_decay=0.5)
+        arrays = (weights, y1, y2, grad, new, state.m, state.v)
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1:])
+        assert np.array_equal(weights, before)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "adamw"])
+    def test_epoch_allocates_at_most_one_matrix(self, optimizer):
+        """Between two epochs' callbacks, after two warm-up epochs, the
+        traced allocations peak below two |V| x L float matrices: the comm
+        adjoint's bincount is the one such array an epoch allocates."""
+        g = gen_random_workload(GenSpec(n_nodes=2000, depth=20, density=0.01, seed=1))
+        latency = 20
+        transient, base = [], [0]
+
+        def on_epoch(epoch, stages):
+            current, peak = tracemalloc.get_traced_memory()
+            if epoch >= 3:
+                transient.append(peak - base[0])
+            tracemalloc.reset_peak()
+            base[0] = current
+
+        tracemalloc.start()
+        try:
+            run(g, RunConfig(L=latency, epochs=8, optimizer=optimizer), on_epoch=on_epoch)
+        finally:
+            tracemalloc.stop()
+        assert len(transient) == 5
+        assert max(transient) < 2 * g.n_nodes * latency * 8
 
 
 def one_edge_graph(c=0, mem=1.0):
